@@ -99,14 +99,10 @@ void scalar_apply_rotation(float* x, float* y, std::size_t n, float c,
 const Kernels kScalar{"scalar", static_cast<int>(kLanes), scalar_dot,
                       scalar_dot3, scalar_apply_rotation};
 
-// Startup decision: env overrides first, then cpuid. Returning the
+// Startup decision: env override first, then cpuid. Returning the
 // scalar set is always safe.
 const Kernels* resolve_startup() {
   const char* mode = std::getenv("HSVD_SIMD");
-  const char* force = std::getenv("HSVD_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0) {
-    return &kScalar;
-  }
   if (mode != nullptr) {
     if (std::strcmp(mode, "scalar") == 0) return &kScalar;
     if (std::strcmp(mode, "avx2") == 0) {

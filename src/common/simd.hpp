@@ -12,12 +12,10 @@
 // Factors therefore do not depend on which path ran, and the
 // differential harness pins {scalar, avx2} against each other bitwise.
 //
-// Overrides (resolved in this order, before cpuid):
+// Override (resolved before cpuid):
 //   HSVD_SIMD=scalar|avx2|auto  -- explicit path selection; requesting
 //                                  avx2 on an unsupported host falls
 //                                  back to scalar.
-//   HSVD_FORCE_SCALAR=1         -- reproducibility switch: same as
-//                                  HSVD_SIMD=scalar.
 #pragma once
 
 #include <cstddef>

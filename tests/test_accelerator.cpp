@@ -3,7 +3,14 @@
 // timing sanity.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+
 #include "accel/accelerator.hpp"
+#include "common/clock.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
@@ -203,6 +210,96 @@ TEST(Accelerator, UtilizationAndResourcesReported) {
   EXPECT_GT(run.memory_utilization, 0.0);
   EXPECT_EQ(run.resources.aie_orth, 28);
   EXPECT_EQ(run.resources.plio, 6);
+}
+
+// A clock that advances one second per read, so a deadline of 0.5 s is
+// met by the first expiry poll (the task boundary) and missed by the
+// second (the sweep barrier after the first sweep).
+class TickingClock final : public common::Clock {
+ public:
+  double now_seconds() const override { return now_++; }
+  void sleep_for(double seconds) override { now_ += seconds; }
+
+ private:
+  mutable double now_ = 0.0;
+};
+
+HeteroSvdConfig small_config() {
+  HeteroSvdConfig cfg;
+  cfg.rows = 32;
+  cfg.cols = 16;
+  cfg.p_eng = 4;  // 4 blocks -> 3 tournament rounds of 2 pairs per sweep
+  cfg.p_task = 1;
+  cfg.iterations = 3;
+  return cfg;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(Accelerator, SweepBarrierCancellationLeavesFabricClean) {
+  const MatrixF a = random_matrix(32, 16, 0xB10C5ull + 9);
+  const HeteroSvdConfig cfg = small_config();
+  HeteroSvdAccelerator acc(cfg);
+  TickingClock clock;
+  const common::CancelToken token(clock, 0.5);
+  acc.attach_cancellation(&token);
+  try {
+    acc.run({a});
+    ADD_FAILURE() << "expected DeadlineExceeded";
+  } catch (const hsvd::DeadlineExceeded& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep barrier 1"),
+              std::string::npos)
+        << e.what();
+  }
+  // The first sweep ran on the fabric before the poll fired.
+  const versal::ArrayStats cancelled = acc.array_stats();
+  EXPECT_GT(cancelled.kernel_invocations, 0u);
+
+  acc.attach_cancellation(nullptr);
+  const RunResult after = acc.run({a});
+  HeteroSvdAccelerator fresh(cfg);
+  const RunResult clean = fresh.run({a});
+  ASSERT_EQ(after.tasks.size(), 1u);
+  ASSERT_EQ(clean.tasks.size(), 1u);
+  EXPECT_TRUE(same_bits(after.tasks[0].u.data(), clean.tasks[0].u.data()));
+  EXPECT_TRUE(same_bits(after.tasks[0].sigma, clean.tasks[0].sigma));
+  EXPECT_EQ(after.tasks[0].start_seconds, clean.tasks[0].start_seconds);
+  EXPECT_EQ(after.tasks[0].end_seconds, clean.tasks[0].end_seconds);
+  EXPECT_EQ(after.batch_seconds, clean.batch_seconds);
+  // Simulator counters accumulate over the accelerator's lifetime, so
+  // the re-run adds exactly what a fresh accelerator's run counts.
+  EXPECT_EQ(after.stats.kernel_invocations - cancelled.kernel_invocations,
+            clean.stats.kernel_invocations);
+  EXPECT_EQ(after.stats.neighbour_transfers - cancelled.neighbour_transfers,
+            clean.stats.neighbour_transfers);
+  EXPECT_EQ(after.stats.dma_transfers - cancelled.dma_transfers,
+            clean.stats.dma_transfers);
+  EXPECT_EQ(after.stats.dma_bytes - cancelled.dma_bytes,
+            clean.stats.dma_bytes);
+  EXPECT_EQ(after.stats.stream_packets - cancelled.stream_packets,
+            clean.stats.stream_packets);
+  EXPECT_EQ(after.stats.stream_bytes - cancelled.stream_bytes,
+            clean.stats.stream_bytes);
+}
+
+TEST(Accelerator, NonFiniteKernelOutputFailsTheTask) {
+  // An Inf element keeps the Gram diagonal nonnegative but makes the
+  // first touching orth kernel's coherence |Inf|/Inf = NaN: the kernel
+  // detection point must fail the task and blame a tile.
+  MatrixF a = random_matrix(32, 16, 0xB10C5ull + 21);
+  a(3, 2) = std::numeric_limits<float>::infinity();
+  HeteroSvdConfig cfg = small_config();
+  cfg.fault_retries = 0;  // the fault is in the data; retries cannot help
+  HeteroSvdAccelerator acc(cfg);
+  const RunResult run = acc.run({a});
+  ASSERT_EQ(run.tasks.size(), 1u);
+  EXPECT_EQ(run.tasks[0].status, hsvd::SvdStatus::kFailed);
+  EXPECT_FALSE(run.tasks[0].message.empty());
+  EXPECT_TRUE(run.tasks[0].fault_tile.has_value());
+  EXPECT_EQ(run.failed_tasks, 1);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "heterosvd.hpp"
 #include "linalg/generators.hpp"
 #include "obs/obs.hpp"
+#include "versal/array.hpp"
 
 namespace hsvd::obs {
 namespace {
@@ -327,6 +331,125 @@ TEST(TracerExport, AcceleratorRunProducesAllTrackFamilies) {
   }
   EXPECT_TRUE(saw_sim);
   EXPECT_TRUE(saw_host);  // pool observer fed batch-chain / task-post spans
+}
+
+// --- per-track tracing: recording, export, simulator hooks ---------------
+
+// Busy time of one span category, summed from the recorded spans.
+double busy_seconds(const Tracer& tracer, const std::string& category) {
+  double total = 0.0;
+  for (const auto& span : tracer.spans()) {
+    if (span.category == category) total += span.duration_s;
+  }
+  return total;
+}
+
+TEST(Trace, RecordsAndAggregates) {
+  Tracer tracer;
+  tracer.span(Domain::kSim, "core(0,0)", "orth", "kernel", 0.0, 1e-6);
+  tracer.span(Domain::kSim, "core(0,1)", "orth", "kernel", 1e-6, 2e-6);
+  tracer.span(Domain::kSim, "dma(0,0)", "c1", "dma", 0.0, 5e-7);
+  EXPECT_EQ(tracer.spans().size(), 3u);
+  EXPECT_NEAR(busy_seconds(tracer, "kernel"), 3e-6, 1e-15);
+  EXPECT_NEAR(busy_seconds(tracer, "dma"), 5e-7, 1e-15);
+  EXPECT_DOUBLE_EQ(busy_seconds(tracer, "ddr"), 0.0);
+  tracer.clear();
+  EXPECT_TRUE(tracer.spans().empty());
+}
+
+TEST(Trace, ChromeJsonStructure) {
+  Tracer tracer;
+  tracer.span(Domain::kSim, "core(0,0)", "orth c1/c2", "kernel", 1e-6, 2e-6);
+  tracer.span(Domain::kSim, "stream(1,1)", "pkt \"x\"", "stream", 0.0, 1e-7);
+  const std::string json = tracer.to_chrome_json();
+  JsonScanner scanner(json);
+  EXPECT_TRUE(scanner.valid()) << json;
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"kernel\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"stream\""), std::string::npos);
+  // Quotes inside labels must be escaped.
+  EXPECT_NE(json.find("pkt \\\"x\\\""), std::string::npos);
+  // Timestamps are microseconds: 1e-6 s -> 1.
+  EXPECT_NE(json.find("\"ts\":1,"), std::string::npos);
+}
+
+TEST(Trace, LanesGetStableThreadNames) {
+  Tracer tracer;
+  tracer.span(Domain::kSim, "laneA", "x", "kernel", 0, 1);
+  tracer.span(Domain::kSim, "laneB", "y", "kernel", 0, 1);
+  tracer.span(Domain::kSim, "laneA", "z", "kernel", 1, 1);
+  const std::string json = tracer.to_chrome_json();
+  // One thread_name per track, however many events share it.
+  EXPECT_EQ(count_substr(json, "\"name\":\"thread_name\""), 2u);
+  EXPECT_EQ(count_substr(json, "\"name\":\"laneA\""), 1u);
+  EXPECT_EQ(count_substr(json, "\"name\":\"laneB\""), 1u);
+  // The same lanes on every export.
+  EXPECT_EQ(tracer.to_chrome_json(), json);
+}
+
+TEST(Trace, AttachesToArraySim) {
+  versal::ArrayGeometry geo(4, 4);
+  versal::AieArraySim sim(geo, versal::vck190());
+  ObsContext obs;
+  obs.enable_tracing();
+  sim.attach_observer(&obs);
+  sim.run_kernel({1, 1}, 0.0, 1e-6);
+  sim.dma_move({0, 0}, {2, 2}, "k", 0.0, 1024);
+  versal::Packet p;
+  p.payload.assign(8, 0.0f);
+  sim.stream_packet({1, 0}, p, 0.0, false);
+  const Tracer& tracer = *obs.tracer();
+  EXPECT_EQ(tracer.spans().size(), 3u);
+  EXPECT_GT(busy_seconds(tracer, "kernel"), 0.0);
+  EXPECT_GT(busy_seconds(tracer, "dma"), 0.0);
+  EXPECT_GT(busy_seconds(tracer, "stream"), 0.0);
+  for (const auto& span : tracer.spans()) {
+    EXPECT_EQ(span.domain, Domain::kSim);
+  }
+  // Detach stops recording.
+  sim.attach_observer(nullptr);
+  sim.run_kernel({1, 1}, 0.0, 1e-6);
+  EXPECT_EQ(tracer.spans().size(), 3u);
+}
+
+TEST(Trace, AcceleratorEndToEndTrace) {
+  accel::HeteroSvdConfig cfg;
+  cfg.rows = cfg.cols = 16;
+  cfg.p_eng = 2;
+  cfg.p_task = 1;
+  cfg.iterations = 1;
+  accel::HeteroSvdAccelerator acc(cfg);
+  ObsContext obs;
+  obs.enable_tracing();
+  acc.attach_observer(&obs);
+  const auto run = acc.estimate(1);
+  const std::vector<TraceSpan> spans = obs.tracer()->spans();
+  EXPECT_GT(spans.size(), 100u);  // kernels + packets + DMA
+  EXPECT_GT(busy_seconds(*obs.tracer(), "kernel"), 0.0);
+  EXPECT_GT(busy_seconds(*obs.tracer(), "dma"), 0.0);
+  EXPECT_GT(busy_seconds(*obs.tracer(), "stream"), 0.0);
+  // Every simulated event ends within the simulated makespan.
+  for (const auto& span : spans) {
+    if (span.domain != Domain::kSim) continue;
+    EXPECT_GE(span.start_s, 0.0);
+    EXPECT_LE(span.start_s + span.duration_s, run.task_seconds * 1.0001);
+  }
+}
+
+TEST(Trace, WriteFileRoundTrip) {
+  Tracer tracer;
+  tracer.span(Domain::kSim, "plio.tx0", "block", "plio", 0.0, 1e-6);
+  const std::string path = ::testing::TempDir() + "hsvd_trace_test.json";
+  ASSERT_TRUE(tracer.write_chrome_json(path));
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  // The file holds exactly the in-memory document.
+  EXPECT_EQ(on_disk.substr(0, 15), "{\"traceEvents\":");
+  EXPECT_EQ(on_disk, tracer.to_chrome_json());
 }
 
 // --- utilization accounting ----------------------------------------------

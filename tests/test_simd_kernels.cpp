@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/format.hpp"
@@ -253,10 +254,16 @@ TEST(SimdKernels, EnvOverrideForcesScalar) {
   // set_active_for_testing(nullptr) re-runs the startup resolution, so
   // the environment seam is testable in-process.
   const simd::Kernels* prev = simd::set_active_for_testing(nullptr);
-  ASSERT_EQ(setenv("HSVD_FORCE_SCALAR", "1", 1), 0);
+  const char* env = std::getenv("HSVD_SIMD");
+  const std::string saved = env != nullptr ? env : "";
+  ASSERT_EQ(setenv("HSVD_SIMD", "scalar", 1), 0);
   simd::set_active_for_testing(nullptr);
   EXPECT_EQ(&simd::active(), &simd::scalar_kernels());
-  ASSERT_EQ(unsetenv("HSVD_FORCE_SCALAR"), 0);
+  if (env != nullptr) {
+    ASSERT_EQ(setenv("HSVD_SIMD", saved.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("HSVD_SIMD"), 0);
+  }
   simd::set_active_for_testing(prev);
 }
 
