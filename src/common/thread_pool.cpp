@@ -52,10 +52,10 @@ void ThreadPool::worker_loop(int ordinal) {
     std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
+      if (jobs_.empty()) return;  // stopping_ and drained
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
     }
     job();
   }
@@ -64,7 +64,7 @@ void ThreadPool::worker_loop(int ordinal) {
 void ThreadPool::submit(std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(job));
+    jobs_.push_back(std::move(job));
   }
   cv_.notify_one();
 }

@@ -91,7 +91,7 @@ class ThreadPool {
   void submit(std::function<void()> job);
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<std::function<void()>> jobs_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

@@ -52,7 +52,8 @@ void QosOptions::validate() const {
 }
 
 std::size_t QosOptions::tenant_index(const std::string& name) const {
-  const std::string& key = name.empty() ? std::string("default") : name;
+  const std::string& key = name.empty() ? std::string(kDefaultTenant) : name;
+  if (tenants.empty()) return key == kDefaultTenant ? 0 : npos;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     if (tenants[i].name == key) return i;
   }

@@ -1,9 +1,9 @@
 // Multi-tenant QoS configuration for the serving layer.
 //
-// PR 4's SvdServer treats every request as an anonymous equal: one
-// bursty client can fill the bounded admission queue and starve the
-// rest. The QoS layer gives every request a tenant identity and a
-// priority class, and the server then enforces policy per tenant:
+// Without tenants, every request is an anonymous equal: one bursty
+// client can fill the bounded admission queue and starve the rest. The
+// QoS layer gives every request a tenant identity and a priority
+// class, and the server then enforces policy per tenant:
 //
 //   quota      -- a clock-driven common::TokenBucket per tenant; a
 //                 tenant offering more than its refill rate sheds its
@@ -27,9 +27,9 @@
 //                 against the full stored matrix, so a digest collision
 //                 can never return the wrong factors.
 //
-// QoS engages only when at least one tenant is configured
-// (QosOptions::enabled()); with no tenants the server runs the PR 4
-// single-FIFO path bit-identically.
+// With no tenant configured, every request belongs to one implicit
+// tenant "default" with weight 1 and no quota, and runs through the
+// same admission and dispatch path.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +42,10 @@ namespace hsvd::serve {
 // serves classes in order and preempts across them at sweep barriers.
 enum class Priority { kLatency = 0, kNormal = 1, kBatch = 2 };
 inline constexpr int kPriorityBands = 3;
+
+// Tenant of a request that names none, and the one implicit tenant of a
+// server configured without tenants.
+inline constexpr const char* kDefaultTenant = "default";
 
 const char* to_string(Priority priority);
 
@@ -59,9 +63,10 @@ struct TenantConfig {
 };
 
 struct QosOptions {
-  // Tenants the server accepts; empty = QoS disabled (PR 4 behavior).
-  // A request naming no tenant maps to "default" -- configure a tenant
-  // of that name to accept untagged traffic; unknown tenants are shed.
+  // Tenants the server accepts; empty = one implicit "default" tenant
+  // with weight 1 and no quota. A request naming no tenant maps to
+  // "default" -- with tenants configured, configure one of that name to
+  // accept untagged traffic; unknown tenants are shed.
   std::vector<TenantConfig> tenants;
 
   // Shape-bucketed micro-batching: a dispatching worker folds up to
@@ -83,8 +88,8 @@ struct QosOptions {
   // running lower-class work when no worker is idle.
   bool enable_preemption = true;
 
-  bool enabled() const { return !tenants.empty(); }
   // Index of `name` (empty maps to "default") in `tenants`, or npos.
+  // With `tenants` empty, "default" is index 0 (the implicit tenant).
   std::size_t tenant_index(const std::string& name) const;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 

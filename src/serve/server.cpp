@@ -63,38 +63,39 @@ SvdServer::SvdServer(ServerOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock
                                        : &common::MonotonicClock::instance()),
-      breaker_(options_.breaker, clock_),
-      qos_enabled_(options_.qos.enabled()) {
+      breaker_(options_.breaker, clock_) {
   options_.validate();
   paused_ = options_.start_paused;
-  if (qos_enabled_) {
-    const double now_s = clock_->now_seconds();
-    std::vector<double> weights;
-    tenants_.reserve(options_.qos.tenants.size());
-    weights.reserve(options_.qos.tenants.size());
-    for (const TenantConfig& tenant : options_.qos.tenants) {
-      tenants_.emplace_back(
-          tenant,
-          common::TokenBucket(tenant.quota_rate, tenant.quota_burst, now_s));
-      weights.push_back(tenant.weight);
-    }
-    drr_.reserve(kPriorityBands);
-    for (int band = 0; band < kPriorityBands; ++band) {
-      drr_.emplace_back(weights);
-    }
-    if (options_.qos.cache_enabled) {
-      cache_ = std::make_unique<ResultCache>(options_.qos.cache_capacity);
-    }
-    if (options_.observer != nullptr) {
-      auto& metrics = options_.observer->metrics();
+  const double now_s = clock_->now_seconds();
+  if (options_.qos.tenants.empty()) {
+    tenants_.emplace_back(TenantConfig{kDefaultTenant}, std::nullopt);
+  }
+  for (const TenantConfig& tenant : options_.qos.tenants) {
+    tenants_.emplace_back(
+        tenant,
+        common::TokenBucket(tenant.quota_rate, tenant.quota_burst, now_s));
+  }
+  std::vector<double> weights;
+  weights.reserve(tenants_.size());
+  for (const TenantRuntime& tenant : tenants_) {
+    weights.push_back(tenant.config.weight);
+  }
+  drr_.reserve(kPriorityBands);
+  for (int band = 0; band < kPriorityBands; ++band) {
+    drr_.emplace_back(weights);
+  }
+  if (options_.qos.cache_enabled) {
+    cache_ = std::make_unique<ResultCache>(options_.qos.cache_capacity);
+  }
+  if (options_.observer != nullptr) {
+    auto& metrics = options_.observer->metrics();
+    metrics.register_histogram(
+        "serve.batch.fill",
+        obs::MetricsRegistry::exponential_bounds(1.0, 2.0, 8));
+    for (const TenantRuntime& tenant : tenants_) {
       metrics.register_histogram(
-          "serve.batch.fill",
-          obs::MetricsRegistry::exponential_bounds(1.0, 2.0, 8));
-      for (const TenantConfig& tenant : options_.qos.tenants) {
-        metrics.register_histogram(
-            "serve.tenant." + tenant.name + ".latency_seconds",
-            obs::MetricsRegistry::exponential_bounds(1e-5, 2.0, 32));
-      }
+          "serve.tenant." + tenant.config.name + ".latency_seconds",
+          obs::MetricsRegistry::exponential_bounds(1e-5, 2.0, 32));
     }
   }
   running_.resize(static_cast<std::size_t>(options_.workers));
@@ -118,108 +119,77 @@ std::future<Response> SvdServer::submit(Request request) {
     ++counters_.submitted;
     count("serve.submitted");
 
-    if (!qos_enabled_) {
-      // Single-FIFO admission, bit-identical to the pre-QoS server.
-      if (stopping_ || queue_.size() >= options_.queue_capacity) {
-        ++counters_.shed;
-        count("serve.shed");
-        Response shed;
-        shed.status = ServeStatus::kShed;
-        shed.message = stopping_ ? "server is shutting down"
-                                 : "work queue full, request shed";
-        promise.set_value(std::move(shed));
-        return future;
-      }
-      Job job;
-      job.request = std::move(request);
-      job.promise = std::move(promise);
-      job.serial = next_serial_++;
-      job.admitted_s = now_s;
-      const double budget = job.request.deadline_seconds > 0.0
-                                ? job.request.deadline_seconds
-                                : options_.default_deadline_seconds;
-      if (budget > 0.0) job.deadline_abs_s = now_s + budget;
-      queue_.push_back(std::move(job));
-      ++counters_.admitted;
-      count("serve.admitted");
-      counters_.queue_depth = queue_.size();
-      counters_.peak_queue_depth =
-          std::max(counters_.peak_queue_depth, queue_.size());
-      gauge("serve.queue.depth", static_cast<double>(queue_.size()));
-    } else {
-      // QoS admission: tenant resolution, quota, per-tenant queue bound.
-      const std::size_t idx = options_.qos.tenant_index(request.tenant);
-      const Priority priority = request.priority;
-      const auto shed_with = [&](const std::string& message) {
-        ++counters_.shed;
-        count("serve.shed");
-        Response shed;
-        shed.status = ServeStatus::kShed;
-        shed.message = message;
-        shed.tenant = request.tenant.empty() ? "default" : request.tenant;
-        shed.priority = priority;
-        promise.set_value(std::move(shed));
-      };
-      if (idx == QosOptions::npos) {
-        ++counters_.unknown_tenant;
-        count("serve.shed.unknown_tenant");
-        shed_with("unknown tenant '" +
-                  (request.tenant.empty() ? std::string("default")
-                                          : request.tenant) +
-                  "', request shed");
-        return future;
-      }
-      TenantRuntime& tenant = tenants_[idx];
-      ++tenant.stats.submitted;
-      if (stopping_) {
-        ++tenant.stats.shed_queue;
-        count_tenant(idx, "shed_queue");
-        shed_with("server is shutting down");
-        return future;
-      }
-      if (!tenant.bucket.try_acquire(now_s)) {
-        ++counters_.quota_shed;
-        ++tenant.stats.shed_quota;
-        count("serve.shed.quota");
-        count_tenant(idx, "shed_quota");
-        shed_with("tenant quota exhausted, request shed");
-        return future;
-      }
-      const int band = static_cast<int>(priority);
-      if (tenant.queues[band].size() >= options_.queue_capacity) {
-        ++tenant.stats.shed_queue;
-        count_tenant(idx, "shed_queue");
-        shed_with("tenant queue full, request shed");
-        return future;
-      }
-      Job job;
-      job.request = std::move(request);
-      job.promise = std::move(promise);
-      job.serial = next_serial_++;
-      job.admitted_s = now_s;
-      job.tenant = idx;
-      job.band = band;
-      // Routed and scenario-tagged requests never coalesce: the
-      // coalescer dispatches under the pinned classic accelerator
-      // configuration, which a routed job may not even run on and a
-      // scenario front-end bypasses entirely. QoS queues/quotas are
-      // untouched -- these only change what happens at dispatch.
-      job.solo_only =
-          routed_request(job.request) || scenario_request(job.request);
-      const double budget = job.request.deadline_seconds > 0.0
-                                ? job.request.deadline_seconds
-                                : options_.default_deadline_seconds;
-      if (budget > 0.0) job.deadline_abs_s = now_s + budget;
-      tenant.queues[band].push_back(std::move(job));
-      ++counters_.admitted;
-      ++tenant.stats.admitted;
-      count("serve.admitted");
-      counters_.queue_depth = total_backlog_locked();
-      counters_.peak_queue_depth =
-          std::max(counters_.peak_queue_depth, counters_.queue_depth);
-      set_depth_gauge_locked();
-      maybe_preempt_locked(band);
+    // Admission: tenant resolution, quota, per-tenant queue bound.
+    const std::size_t idx = options_.qos.tenant_index(request.tenant);
+    const std::string tenant_name =
+        request.tenant.empty() ? kDefaultTenant : request.tenant;
+    const Priority priority = request.priority;
+    const auto shed_with = [&](const std::string& message) {
+      ++counters_.shed;
+      count("serve.shed");
+      Response shed;
+      shed.status = ServeStatus::kShed;
+      shed.message = message;
+      shed.tenant = tenant_name;
+      shed.priority = priority;
+      promise.set_value(std::move(shed));
+    };
+    if (idx == QosOptions::npos) {
+      ++counters_.unknown_tenant;
+      count("serve.shed.unknown_tenant");
+      shed_with("unknown tenant '" + tenant_name + "', request shed");
+      return future;
     }
+    TenantRuntime& tenant = tenants_[idx];
+    ++tenant.stats.submitted;
+    if (stopping_) {
+      ++tenant.stats.shed_queue;
+      count_tenant(idx, "shed_queue");
+      shed_with("server is shutting down");
+      return future;
+    }
+    if (tenant.bucket.has_value() && !tenant.bucket->try_acquire(now_s)) {
+      ++counters_.quota_shed;
+      ++tenant.stats.shed_quota;
+      count("serve.shed.quota");
+      count_tenant(idx, "shed_quota");
+      shed_with("tenant quota exhausted, request shed");
+      return future;
+    }
+    const int band = static_cast<int>(priority);
+    if (tenant.queues[band].size() >= options_.queue_capacity) {
+      ++tenant.stats.shed_queue;
+      count_tenant(idx, "shed_queue");
+      shed_with("tenant queue full, request shed");
+      return future;
+    }
+    Job job;
+    job.request = std::move(request);
+    job.promise = std::move(promise);
+    job.serial = next_serial_++;
+    job.admitted_s = now_s;
+    job.tenant = idx;
+    job.band = band;
+    // Routed and scenario-tagged requests never coalesce: the
+    // coalescer dispatches under the pinned classic accelerator
+    // configuration, which a routed job may not even run on and a
+    // scenario front-end bypasses entirely. Queues/quotas are untouched
+    // -- these only change what happens at dispatch.
+    job.solo_only =
+        routed_request(job.request) || scenario_request(job.request);
+    const double budget = job.request.deadline_seconds > 0.0
+                              ? job.request.deadline_seconds
+                              : options_.default_deadline_seconds;
+    if (budget > 0.0) job.deadline_abs_s = now_s + budget;
+    tenant.queues[band].push_back(std::move(job));
+    ++counters_.admitted;
+    ++tenant.stats.admitted;
+    count("serve.admitted");
+    counters_.queue_depth = total_backlog_locked();
+    counters_.peak_queue_depth =
+        std::max(counters_.peak_queue_depth, counters_.queue_depth);
+    set_depth_gauge_locked();
+    maybe_preempt_locked(band);
   }
   cv_.notify_one();
   return future;
@@ -274,36 +244,16 @@ void SvdServer::worker_loop(std::size_t worker_index) {
         return stopping_ || (!paused_ && total_backlog_locked() > 0);
       });
       --idle_workers_;
-      if (total_backlog_locked() == 0) {
-        if (stopping_) return;  // drained
-        continue;               // spurious wake while paused
-      }
-      if (qos_enabled_) {
-        std::optional<Job> picked = pop_next_locked();
-        if (!picked.has_value()) {
-          if (stopping_) return;
-          continue;
-        }
-        job = std::move(*picked);
-        job.dispatch_ordinal = ++next_dispatch_;
-        gather_coalesce_locked(job, extras, clock_->now_seconds());
-        for (Job& extra : extras) extra.dispatch_ordinal = ++next_dispatch_;
-      } else {
-        job = std::move(queue_.front());
-        queue_.pop_front();
-        job.dispatch_ordinal = ++next_dispatch_;
-      }
+      std::optional<Job> picked = pop_next_locked();
+      if (!picked.has_value()) return;  // stopping, and drained
+      job = std::move(*picked);
+      job.dispatch_ordinal = ++next_dispatch_;
+      gather_coalesce_locked(job, extras, clock_->now_seconds());
+      for (Job& extra : extras) extra.dispatch_ordinal = ++next_dispatch_;
       counters_.queue_depth = total_backlog_locked();
       set_depth_gauge_locked();
     }
-    if (qos_enabled_) {
-      service_qos(worker_index, std::move(job), std::move(extras));
-    } else {
-      common::CancelToken token(*clock_, job.deadline_abs_s);
-      Response response = execute(job, token);
-      note_terminal(job, response);
-      resolve(std::move(job), std::move(response));
-    }
+    service(worker_index, std::move(job), std::move(extras));
   }
 }
 
@@ -393,11 +343,7 @@ Response SvdServer::execute(Job& job, common::CancelToken& token) {
     }
 
     if (!transient) break;
-    count("serve.retries");
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.retries;
-    }
+    note_retry();
     const double delay =
         std::min(backoff.delay_seconds(attempt), token.remaining_seconds());
     if (delay > 0.0) clock_->sleep_for(delay);
@@ -408,24 +354,13 @@ Response SvdServer::execute(Job& job, common::CancelToken& token) {
     }
   }
 
-  // Surface breaker trips that happened on this worker's watch.
-  const std::uint64_t trips = breaker_.trips();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trips > last_trips_) {
-      count("serve.breaker.trips", trips - last_trips_);
-      counters_.breaker_trips = trips;
-      last_trips_ = trips;
-    }
-  }
-  set_breaker_gauge();
-
+  surface_breaker_trips();
   out.service_seconds = clock_->now_seconds() - start_s;
   return out;
 }
 
-void SvdServer::service_qos(std::size_t worker_index, Job primary,
-                            std::vector<Job> extras) {
+void SvdServer::service(std::size_t worker_index, Job primary,
+                        std::vector<Job> extras) {
   std::vector<Job> jobs;
   jobs.reserve(1 + extras.size());
   jobs.push_back(std::move(primary));
@@ -652,11 +587,7 @@ void SvdServer::execute_coalesced(std::size_t worker_index,
       if (can_retry && !stopping_seen()) {
         // Fall back to the solo path, which owns backoff and the
         // remaining attempt budget.
-        count("serve.retries");
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++counters_.retries;
-        }
+        note_retry();
         job.solo_only = true;
         requeue(std::move(job), /*count_preemption=*/false);
         continue;
@@ -667,11 +598,7 @@ void SvdServer::execute_coalesced(std::size_t worker_index,
       breaker_.record_success();
       if (options_.retry.retry_not_converged && can_retry &&
           !stopping_seen()) {
-        count("serve.retries");
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++counters_.retries;
-        }
+        note_retry();
         job.solo_only = true;
         requeue(std::move(job), /*count_preemption=*/false);
         continue;
@@ -693,17 +620,7 @@ void SvdServer::execute_coalesced(std::size_t worker_index,
     note_terminal(job, out);
     resolve(std::move(job), std::move(out));
   }
-
-  const std::uint64_t trips = breaker_.trips();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trips > last_trips_) {
-      count("serve.breaker.trips", trips - last_trips_);
-      counters_.breaker_trips = trips;
-      last_trips_ = trips;
-    }
-  }
-  set_breaker_gauge();
+  surface_breaker_trips();
 }
 
 accel::HeteroSvdConfig SvdServer::config_for_shape(std::size_t rows,
@@ -797,7 +714,6 @@ void SvdServer::gather_coalesce_locked(const Job& primary,
 }
 
 std::size_t SvdServer::total_backlog_locked() const {
-  if (!qos_enabled_) return queue_.size();
   std::size_t total = 0;
   for (const TenantRuntime& tenant : tenants_) {
     for (const auto& queue : tenant.queues) total += queue.size();
@@ -825,10 +741,8 @@ void SvdServer::requeue(Job job, bool count_preemption) {
 }
 
 void SvdServer::resolve(Job job, Response response) {
-  if (qos_enabled_) {
-    response.tenant = tenants_[job.tenant].config.name;
-    response.priority = static_cast<Priority>(job.band);
-  }
+  response.tenant = tenants_[job.tenant].config.name;
+  response.priority = static_cast<Priority>(job.band);
   response.preemptions = job.preemptions;
   response.dispatch_ordinal = job.dispatch_ordinal;
   job.promise.set_value(std::move(response));
@@ -860,7 +774,6 @@ void SvdServer::note_terminal(const Job& job, const Response& response) {
     case ServeStatus::kShed:
       break;  // counted at admission
   }
-  if (!qos_enabled_) return;
   TenantRuntime& tenant = tenants_[job.tenant];
   switch (response.status) {
     case ServeStatus::kOk:
@@ -942,6 +855,25 @@ bool SvdServer::cacheable(const Job& job) const {
 bool SvdServer::stopping_seen() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stopping_;
+}
+
+void SvdServer::note_retry() {
+  count("serve.retries");
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++counters_.retries;
+}
+
+void SvdServer::surface_breaker_trips() {
+  const std::uint64_t trips = breaker_.trips();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (trips > last_trips_) {
+      count("serve.breaker.trips", trips - last_trips_);
+      counters_.breaker_trips = trips;
+      last_trips_ = trips;
+    }
+  }
+  set_breaker_gauge();
 }
 
 void SvdServer::set_breaker_gauge() {

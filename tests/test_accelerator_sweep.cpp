@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "accel/accelerator.hpp"
-#include "baselines/cpu_reference.hpp"
 #include "common/rng.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
@@ -128,21 +127,6 @@ TEST(AcceleratorFailure, NaiveStrategyUsesMoreTileMemory) {
   // Naive outputs force k-fold more DMA shadow traffic (exactly 2x at
   // k = 2: 2k(k-1) vs 2(k-1) moves per sweep).
   EXPECT_EQ(peak_for(false), 2 * peak_for(true));
-}
-
-TEST(CpuReference, ReportsTimingAndConvergence) {
-  Rng rng(77);
-  auto a = linalg::random_gaussian(24, 12, rng).cast<float>();
-  auto r = baselines::run_hestenes(a, jacobi::OrderingKind::kShiftingRing);
-  EXPECT_TRUE(r.converged);
-  EXPECT_GT(r.wall_seconds, 0.0);
-  EXPECT_LT(r.max_offdiag_coherence, 1e-5);
-  EXPECT_EQ(r.algorithm, "hestenes-shifting-ring");
-  auto b = baselines::run_block(a, 4);
-  EXPECT_TRUE(b.converged);
-  auto c = baselines::run_bcv(a);
-  EXPECT_TRUE(c.converged);
-  EXPECT_EQ(c.algorithm, "bcv-odd-even");
 }
 
 }  // namespace

@@ -553,17 +553,19 @@ TEST(QosServer, DuplicateMatrixIsServedFromCacheBitIdentically) {
 
 TEST(QosServer, QosPathWithCacheOffMatchesLegacyServerBitIdentically) {
   // The whole QoS layer disabled feature by feature (no cache, no
-  // coalescing, preemption irrelevant on one band) must produce the
-  // same bits as the legacy single-FIFO server.
+  // coalescing, preemption irrelevant on one band): an untenanted
+  // server (the implicit quota-free "default" tenant) and an explicit
+  // {"default"} configuration must both produce the bits of a direct
+  // svd() call with the same SvdOptions.
   FakeClock clock_a;
-  ServerOptions legacy;
-  legacy.workers = 1;
-  legacy.svd.config = small_config();
-  legacy.clock = &clock_a;
-  SvdServer legacy_server(legacy);
+  ServerOptions untenanted;
+  untenanted.workers = 1;
+  untenanted.svd.config = small_config();
+  untenanted.clock = &clock_a;
+  SvdServer untenanted_server(untenanted);
 
   FakeClock clock_b;
-  ServerOptions qos = legacy;
+  ServerOptions qos = untenanted;
   qos.clock = &clock_b;
   qos.qos.tenants = {tenant("default")};
   SvdServer qos_server(qos);
@@ -572,13 +574,16 @@ TEST(QosServer, QosPathWithCacheOffMatchesLegacyServerBitIdentically) {
     const linalg::MatrixF matrix = small_matrix(seed);
     Request plain;
     plain.matrix = matrix;
-    const Response a = legacy_server.serve(std::move(plain));
+    const Response a = untenanted_server.serve(std::move(plain));
     Request tagged;
     tagged.matrix = matrix;
     const Response b = qos_server.serve(std::move(tagged));
     ASSERT_EQ(a.status, ServeStatus::kOk);
     ASSERT_EQ(b.status, ServeStatus::kOk);
-    EXPECT_TRUE(same_svd_bits(a.result, b.result));
+    const Svd direct = svd(matrix, untenanted.svd);
+    ASSERT_FALSE(direct.sigma.empty());
+    EXPECT_TRUE(same_svd_bits(a.result, direct));
+    EXPECT_TRUE(same_svd_bits(b.result, direct));
   }
 }
 

@@ -420,6 +420,63 @@ TEST(ServeServer, FullQueueShedsInsteadOfBlocking) {
   EXPECT_EQ(counters.at("serve.ok"), 2u);
 }
 
+TEST(ServeServer, UntenantedServerHasNoQuota) {
+  // Without tenants every request belongs to the implicit "default"
+  // tenant, which has no token bucket: a burst of queue_capacity
+  // requests at one instant is admitted whole. (An explicit {"default"}
+  // tenant carries the default quota burst of 64 and would shed the
+  // rest.)
+  FakeClock clock;
+  ServerOptions options;
+  options.queue_capacity = 100;
+  options.workers = 1;
+  options.svd.config = small_config();
+  options.svd.want_v = false;
+  options.svd.threads = 1;
+  options.clock = &clock;
+  options.start_paused = true;
+  SvdServer server(options);
+
+  std::vector<std::future<Response>> futures;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    futures.push_back(server.submit(small_matrix(500 + i)));
+  }
+  serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.admitted, 100u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.quota_shed, 0u);
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants.begin()->first, "default");
+  EXPECT_EQ(stats.tenants.at("default").admitted, 100u);
+
+  // Any other tenant name is unknown, exactly as under an explicit
+  // {"default"} configuration.
+  serve::TenantConfig explicit_default;
+  explicit_default.name = "default";
+  ServerOptions explicit_options = options;
+  explicit_options.qos.tenants = {explicit_default};
+  SvdServer explicit_server(explicit_options);
+  Request stranger = plain_request(small_matrix(600));
+  stranger.tenant = "stranger";
+  const Response implicit_shed = server.submit(stranger).get();
+  const Response explicit_shed = explicit_server.submit(stranger).get();
+  EXPECT_EQ(implicit_shed.status, ServeStatus::kShed);
+  EXPECT_EQ(implicit_shed.message, explicit_shed.message);
+  EXPECT_NE(implicit_shed.message.find("unknown tenant"), std::string::npos);
+  EXPECT_EQ(server.stats().unknown_tenant, 1u);
+  EXPECT_EQ(explicit_server.stats().unknown_tenant, 1u);
+
+  server.resume();
+  for (auto& future : futures) {
+    const Response response = future.get();
+    EXPECT_EQ(response.status, ServeStatus::kOk);
+    EXPECT_EQ(response.tenant, "default");
+  }
+  stats = server.stats();
+  EXPECT_EQ(stats.ok, 100u);
+  EXPECT_EQ(stats.tenants.at("default").ok, 100u);
+}
+
 TEST(ServeServer, DeadlineExpiredInQueueFailsFastWithoutRunning) {
   FakeClock clock;
   ServerOptions options;

@@ -38,16 +38,18 @@
 //       Push the matrices through an in-process serving instance with
 //       the multi-tenant QoS layer: requests are assigned to the
 //       configured tenants round-robin (SPEC is
-//       name[:weight[:rate[:burst]]]), coalesced into shape-bucketed
-//       micro-batches, and answered from the digest-keyed result cache
-//       when --cache is on. --backend routes every request through the
-//       backend router ("auto", "auto:latency:0.005", or a pin like
-//       "cpu"). --verify turns on result attestation with per-request
-//       verify columns; under "always" the command exits nonzero when
-//       any request escapes unverified. --scenario/--top-k tag every
-//       request with workload-scenario intent: tagged requests
-//       dispatch solo (never coalesced) and the result cache keys by
-//       scenario + top_k. Prints a per-request and a per-tenant table;
+//       name[:weight[:rate[:burst]]]; with no --tenant, every input
+//       goes to the quota-free "default" tenant), coalesced into
+//       shape-bucketed micro-batches, and answered from the
+//       digest-keyed result cache when --cache is on. --backend routes
+//       every request through the backend router ("auto",
+//       "auto:latency:0.005", or a pin like "cpu"). --verify turns on
+//       result attestation with per-request verify columns; under
+//       "always" the command exits nonzero when any request escapes
+//       unverified. --scenario/--top-k tag every request with
+//       workload-scenario intent: tagged requests dispatch solo (never
+//       coalesced) and the result cache keys by scenario + top_k.
+//       Prints a per-request and a per-tenant table;
 //       exits nonzero when any request ends kFailed.
 //   hsvd route [--sweep n1,n2,...] [--slo latency|throughput|energy]
 //              [--batch B] [--csv route_table.csv]
@@ -613,9 +615,9 @@ int cmd_serve(int argc, char** argv) {
   options.svd.threads = g_threads;
   options.svd.shards = g_shards;
   options.svd.verify = vpolicy;
-  options.qos.tenants = tenants.empty()
-                            ? std::vector<serve::TenantConfig>{{"default"}}
-                            : tenants;
+  // No --tenant: every input goes to the server's implicit "default"
+  // tenant, which has no quota.
+  options.qos.tenants = tenants;
   options.qos.coalesce_max_batch = coalesce < 1 ? 1 : coalesce;
   options.qos.coalesce_window_seconds = window_ms / 1e3;
   options.qos.cache_enabled = cache > 0;
@@ -627,7 +629,7 @@ int cmd_serve(int argc, char** argv) {
   for (std::size_t i = 0; i < files.size(); ++i) {
     serve::Request request;
     request.matrix = matrices[i];
-    request.tenant = options.qos.tenants[i % options.qos.tenants.size()].name;
+    if (!tenants.empty()) request.tenant = tenants[i % tenants.size()].name;
     request.priority = priority;
     if (backend_set) {
       request.backend = backend_spec.backend;

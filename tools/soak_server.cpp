@@ -68,8 +68,10 @@
 //                 serving layer is the point of the soak -- raise it to
 //                 watch the accelerator absorb faults itself instead).
 //
-// Multi-tenant QoS scenario (active once at least one --tenant is
-// given; see serve/qos.hpp):
+// Multi-tenant QoS scenario (see serve/qos.hpp). The tenant, fairness,
+// priority and --qos-csv options take effect once at least one --tenant
+// is given; --dup, --cache and --coalesce apply with or without tenants
+// (untenanted traffic goes to the server's quota-free "default" tenant):
 //
 // --tenant SPEC        name[:weight[:rate[:burst]]], repeatable.
 // --bursty-tenant NAME requests are offered round-robin, one slot per
@@ -467,13 +469,14 @@ int main(int argc, char** argv) {
   // (verify.*) and health-ledger (route.health.*) counters land in the
   // exported --metrics JSON alongside the serve.* counters.
   options.svd.observer = &observer;
-  if (qos_mode) {
-    options.qos.tenants = tenants;
-    options.qos.coalesce_max_batch = coalesce < 1 ? 1 : coalesce;
-    options.qos.coalesce_window_seconds = coalesce_window_ms / 1e3;
-    options.qos.cache_enabled = cache_capacity > 0;
-    options.qos.cache_capacity = cache_capacity > 0 ? cache_capacity : 64;
-  }
+  // Without --tenant every request goes to the server's implicit
+  // quota-free "default" tenant; coalescing and the cache apply either
+  // way.
+  options.qos.tenants = tenants;
+  options.qos.coalesce_max_batch = coalesce < 1 ? 1 : coalesce;
+  options.qos.coalesce_window_seconds = coalesce_window_ms / 1e3;
+  options.qos.cache_enabled = cache_capacity > 0;
+  options.qos.cache_capacity = cache_capacity > 0 ? cache_capacity : 64;
 
   // Injectors must outlive the server (requests reference them raw).
   std::vector<std::unique_ptr<versal::FaultInjector>> injectors;
@@ -591,21 +594,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.retries),
                 static_cast<unsigned long long>(stats.breaker_trips),
                 serve::to_string(stats.breaker_state), stats.peak_queue_depth);
-    if (qos_mode) {
-      const double fill =
-          stats.batch_dispatches > 0
-              ? static_cast<double>(stats.batch_tasks) /
-                    static_cast<double>(stats.batch_dispatches)
-              : 0.0;
-      std::printf("  qos: quota-shed %llu  preemptions %llu  cache %llu/%llu "
-                  "hit/miss  batch fill %.2f (%llu dispatches)\n",
-                  static_cast<unsigned long long>(stats.quota_shed),
-                  static_cast<unsigned long long>(stats.preemptions),
-                  static_cast<unsigned long long>(stats.cache_hits),
-                  static_cast<unsigned long long>(stats.cache_misses),
-                  fill,
-                  static_cast<unsigned long long>(stats.batch_dispatches));
-    }
+    const double fill =
+        stats.batch_dispatches > 0
+            ? static_cast<double>(stats.batch_tasks) /
+                  static_cast<double>(stats.batch_dispatches)
+            : 0.0;
+    std::printf("  qos: quota-shed %llu  preemptions %llu  cache %llu/%llu "
+                "hit/miss  batch fill %.2f (%llu dispatches)\n",
+                static_cast<unsigned long long>(stats.quota_shed),
+                static_cast<unsigned long long>(stats.preemptions),
+                static_cast<unsigned long long>(stats.cache_hits),
+                static_cast<unsigned long long>(stats.cache_misses), fill,
+                static_cast<unsigned long long>(stats.batch_dispatches));
     if (scenario_rate > 0.0) {
       int tall = 0;
       int tall_ok = 0;
