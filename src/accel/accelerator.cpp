@@ -16,19 +16,9 @@ namespace hsvd::accel {
 
 namespace {
 
-std::string column_key(int task_id, int global_col) {
-  return cat("c", global_col, ".t", task_id);
-}
-
-// True when `key` ("c<col>.t<id>" or "c<col>.t<id>#dma") belongs to the
-// given task id. Exact-match parse: ".t1" must not claim ".t12" keys.
-bool key_belongs_to_task(const std::string& key, int task_id) {
-  const std::size_t at = key.rfind(".t");
-  if (at == std::string::npos) return false;
-  std::string id = key.substr(at + 2);
-  const std::size_t shadow = id.find('#');
-  if (shadow != std::string::npos) id = id.substr(0, shadow);
-  return id == std::to_string(task_id);
+versal::BufferKey column_key(int task_id, int global_col) {
+  return versal::BufferKey(static_cast<std::uint32_t>(task_id),
+                           static_cast<std::uint32_t>(global_col));
 }
 
 }  // namespace
@@ -61,6 +51,7 @@ void HeteroSvdAccelerator::rebuild() {
   schedule_ = jacobi::EngineSchedule{};
   slot_schedules_.clear();
   dataflows_.clear();
+  slot_routes_.clear();
   channels_.clear();
 
   // The shifting ring ordering aligns its shifts with the physical parity
@@ -76,6 +67,18 @@ void HeteroSvdAccelerator::rebuild() {
                                         config_.relocated_outputs
                                             ? MemoryStrategy::kRelocated
                                             : MemoryStrategy::kNaive));
+    // Where each local column of a block pair enters (its round-0 engine
+    // slot, the Tx forwarding key) and leaves (the last-layer tile Rx
+    // drains it from): fixed by the schedule and the placement.
+    const auto round0 = jacobi::slot_map(schedule, 0);
+    const auto last = jacobi::slot_map(schedule, schedule.size() - 1);
+    SlotRoutes routes;
+    for (std::size_t c = 0; c < round0.size(); ++c) {
+      routes.tx_dest.push_back(static_cast<std::uint32_t>(round0[c].slot));
+      routes.rx_tile.push_back(
+          task.orth[schedule.size() - 1][static_cast<std::size_t>(last[c].slot)]);
+    }
+    slot_routes_.push_back(std::move(routes));
     if (schedule_.empty()) schedule_ = schedule;
     slot_schedules_.push_back(std::move(schedule));
   }
@@ -165,8 +168,8 @@ const DataflowPlan& HeteroSvdAccelerator::dataflow(std::size_t task_slot) const 
 
 void HeteroSvdAccelerator::purge_task_buffers(int slot, int task_id) {
   const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
-  const auto drop = [task_id](const std::string& key) {
-    return key_belongs_to_task(key, task_id);
+  const auto drop = [task_id](versal::BufferKey key) {
+    return key.task() == static_cast<std::uint32_t>(task_id);
   };
   for (const auto& layer : task.orth) {
     for (const auto& tile : layer) array_->memory(tile).erase_if(drop);
@@ -213,6 +216,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
   const auto& schedule = slot_schedules_[static_cast<std::size_t>(slot)];
   const auto& plan = dataflows_[static_cast<std::size_t>(slot)];
+  const auto& routes = slot_routes_[static_cast<std::size_t>(slot)];
   auto& ch = *channels_[static_cast<std::size_t>(slot)];
   const double col_bytes = static_cast<double>(m) * sizeof(float);
   const double t_orth = kernels_.orth_seconds(m);
@@ -224,7 +228,6 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
     global[static_cast<std::size_t>(i)] = bu * k + i;
     global[static_cast<std::size_t>(k + i)] = bv * k + i;
   }
-  const auto round0 = jacobi::slot_map(schedule, 0);
   std::vector<double> arrival(static_cast<std::size_t>(2 * k));
   // Checksums stamped on outgoing columns by the PL sender; the Rx
   // boundary recomputes them to catch in-fabric corruption.
@@ -235,11 +238,10 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
       auto col = b->col(static_cast<std::size_t>(global[static_cast<std::size_t>(c)]));
       payload.assign(col.begin(), col.end());
       sent_crc[static_cast<std::size_t>(c)] =
-          versal::buffer_checksum(payload);
+          versal::fabric_checksum(payload);
     }
     arrival[static_cast<std::size_t>(c)] = ch.sender->send_column(
-        c < k ? 0 : 1,
-        static_cast<std::uint32_t>(round0[static_cast<std::size_t>(c)].slot),
+        c < k ? 0 : 1, routes.tx_dest[static_cast<std::size_t>(c)],
         static_cast<std::uint32_t>(global[static_cast<std::size_t>(c)]),
         static_cast<std::uint32_t>(task_id), launch, std::move(payload),
         static_cast<std::uint64_t>(col_bytes));
@@ -291,7 +293,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
     }
     if (l + 1 < layers) {
       for (const auto& mv : plan.transitions[static_cast<std::size_t>(l)].moves) {
-        const std::string key =
+        const versal::BufferKey key =
             column_key(task_id, global[static_cast<std::size_t>(mv.column)]);
         if (!mv.is_dma) {
           array_->neighbour_move(mv.src, mv.dst, key,
@@ -305,17 +307,15 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
           if (functional) {
             // Resolve the DMA shadow: the consumer's copy becomes
             // the live buffer, the producer's original is released.
-            auto& src_mem = array_->memory(mv.src);
             auto& dst_mem = array_->memory(mv.dst);
-            if (!dst_mem.contains(key + "#dma")) {
+            if (!dst_mem.contains(key.shadow())) {
               throw FaultDetected(
-                  cat("DMA of ", key, " out of ",
+                  cat("DMA of ", versal::to_string(key), " out of ",
                       versal::to_string(mv.src), " lost its payload"),
                   mv.src.row, mv.src.col, done);
             }
-            std::vector<float> data = dst_mem.load(key + "#dma");
-            dst_mem.erase(key + "#dma");
-            src_mem.erase(key);
+            std::vector<float> data = dst_mem.take(key.shadow());
+            array_->memory(mv.src).erase(key);
             dst_mem.store(key, std::move(data));
           }
         }
@@ -324,34 +324,31 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   }
 
   // ---- Rx: updated columns back into the PL buffers --------------
-  const auto last = jacobi::slot_map(schedule, schedule.size() - 1);
   PairCompletion completion;
   for (int c = 0; c < 2 * k; ++c) {
     const double done = ch.receiver->receive_column(
         c < k ? 0 : 1, arrival[static_cast<std::size_t>(c)], col_bytes);
     if (functional) {
-      const versal::TileCoord tile =
-          task.orth[schedule.size() - 1]
-                   [static_cast<std::size_t>(last[static_cast<std::size_t>(c)].slot)];
-      const std::string key =
+      const versal::TileCoord tile = routes.rx_tile[static_cast<std::size_t>(c)];
+      const versal::BufferKey key =
           column_key(task_id, global[static_cast<std::size_t>(c)]);
       auto& mem = array_->memory(tile);
       if (!mem.contains(key)) {
-        throw FaultDetected(cat("column ", key, " never reached tile ",
+        throw FaultDetected(cat("column ", versal::to_string(key),
+                                " never reached tile ",
                                 versal::to_string(tile), " for Rx"),
                             tile.row, tile.col, done);
       }
       // Rx boundary integrity check: the fabric only routed this
       // buffer, so its checksum must still match what the sender
       // stamped; a mismatch is an in-fabric SEU.
-      if (versal::buffer_checksum(mem.load(key)) !=
+      if (versal::fabric_checksum(mem.take(key)) !=
           sent_crc[static_cast<std::size_t>(c)]) {
-        throw FaultDetected(cat("checksum mismatch on ", key,
+        throw FaultDetected(cat("checksum mismatch on ", versal::to_string(key),
                                 " at tile ", versal::to_string(tile),
                                 " (corrupted in the fabric)"),
                             tile.row, tile.col, done);
       }
-      mem.erase(key);
     }
     (c < k ? completion.done_u : completion.done_v) =
         std::max(c < k ? completion.done_u : completion.done_v, done);

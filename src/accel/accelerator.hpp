@@ -210,6 +210,14 @@ class HeteroSvdAccelerator {
   jacobi::EngineSchedule schedule_;                     // slot 0's schedule
   std::vector<jacobi::EngineSchedule> slot_schedules_;  // per task slot
   std::vector<DataflowPlan> dataflows_;                 // per task slot
+  // Per task slot, indexed by a block pair's local column (block u's k
+  // columns, then block v's): the Tx forwarding key (round-0 engine slot)
+  // and the last orth-layer tile Rx drains the column from.
+  struct SlotRoutes {
+    std::vector<std::uint32_t> tx_dest;
+    std::vector<versal::TileCoord> rx_tile;
+  };
+  std::vector<SlotRoutes> slot_routes_;
   int next_task_id_ = 0;
   std::vector<std::vector<std::pair<int, int>>> block_rounds_;
   // Per task slot: 2 Tx + 2 Rx orth channels, 1 Tx + 1 Rx norm channel

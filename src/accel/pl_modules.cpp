@@ -66,11 +66,10 @@ double Sender::send_column(int which_block_channel, std::uint32_t dest_id,
                cat("c", column, ".t", task), "plio", at_plio - dur, dur);
     }
   }
-  versal::Packet packet;
-  packet.header = {dest_id, column, task};
-  packet.payload = std::move(payload);
+  const bool functional = !payload.empty();
+  versal::Packet packet{{dest_id, column, task}, std::move(payload)};
   const versal::TileCoord dst = forwarding_.route(dest_id);
-  return array_.stream_packet(dst, packet, at_plio, !packet.payload.empty(),
+  return array_.stream_packet(dst, std::move(packet), at_plio, functional,
                               payload_bytes_hint);
 }
 

@@ -44,9 +44,9 @@ Timeline& AieArraySim::core(const TileCoord& t) {
 }
 
 void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
-                                 const std::string& key,
-                                 std::uint64_t bytes_hint) {
-  HSVD_REQUIRE(geometry_.neighbour_transfer_possible(src, dst),
+                                 BufferKey key, std::uint64_t bytes_hint) {
+  HSVD_REQUIRE(geometry_.contains(src) && geometry_.contains(dst) &&
+                   geometry_.shares_memory_module(src, dst),
                cat("tiles ", to_string(src), " -> ", to_string(dst),
                    " are not neighbour-accessible"));
   stats_.neighbour_transfers.fetch_add(1, std::memory_order_relaxed);
@@ -55,9 +55,8 @@ void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
   if (src == dst) return;
   TileMemory& sm = memory(src);
   if (sm.contains(key)) {
-    std::vector<float> data = sm.load(key);
+    std::vector<float> data = sm.take(key);
     bytes = data.size() * sizeof(float);
-    sm.erase(key);
     memory(dst).store(key, std::move(data));
   }
   // The consuming tile reads the shared memory module: charge the link
@@ -66,7 +65,7 @@ void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
 }
 
 double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
-                             const std::string& key, double ready,
+                             BufferKey key, double ready,
                              std::uint64_t bytes_hint) {
   stats_.dma_transfers.fetch_add(1, std::memory_order_relaxed);
   bool drop = false;
@@ -97,7 +96,7 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
     if (!drop) {
       std::vector<float> shadow = data;
       if (faults_ != nullptr) faults_->corrupt_payload(dst, shadow);
-      memory(dst).store(key + "#dma", std::move(shadow));
+      memory(dst).store(key.shadow(), std::move(shadow));
     }
   }
   stats_.dma_bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -113,14 +112,14 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
     obs_->metrics().observe("sim.dma.cycles", duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
       tr->span(obs::Domain::kSim, cat("dma", to_string(src)),
-               cat(key, " -> ", to_string(dst)), "dma", done - duration,
-               duration);
+               cat(to_string(key), " -> ", to_string(dst)), "dma",
+               done - duration, duration);
     }
   }
   return done;
 }
 
-double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
+double AieArraySim::stream_packet(const TileCoord& dst, Packet packet,
                                   double ready, bool store_payload,
                                   std::uint64_t payload_bytes_hint) {
   stats_.stream_packets.fetch_add(1, std::memory_order_relaxed);
@@ -145,10 +144,9 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
     }
   }
   if (store_payload && !packet.payload.empty() && !drop) {
-    std::vector<float> data = packet.payload;
-    if (faults_ != nullptr) faults_->corrupt_payload(dst, data);
-    memory(dst).store(cat("c", packet.header.column, ".t", packet.header.task),
-                      std::move(data));
+    if (faults_ != nullptr) faults_->corrupt_payload(dst, packet.payload);
+    memory(dst).store(BufferKey(packet.header.task, packet.header.column),
+                      std::move(packet.payload));
   }
   // Stream ports move 32 bits per AIE cycle.
   const double rate = 4.0 * device_.aie_clock_hz;

@@ -2,6 +2,13 @@
 // memories, plus the three inter-tile transfer mechanisms of Fig. 1
 // (neighbour access, DMA, packet streams) with their cost asymmetry.
 //
+// Buffers are addressed by BufferKey handles (versal/memory.hpp) and the
+// data plane mirrors the hardware's costs: a neighbour access hands the
+// buffer to the consumer by move (the "free copy" through a shared memory
+// module), a packet's payload is moved into the destination memory, and
+// DMA is the only transfer that copies -- into the destination's "#dma"
+// shadow slot, the twice-the-memory cost of the slow path.
+//
 // Functional payloads are optional: when a transfer is issued without
 // data the simulator still performs all capacity accounting and timing,
 // which is how the large-size benches run (timing is data-independent
@@ -45,28 +52,30 @@ class AieArraySim {
   Timeline& core(const TileCoord& t);
 
   // --- Functional + accounted transfers -------------------------------
-  // Neighbour transfer: requires geometric adjacency (throws otherwise).
-  // Zero-copy in time (the consuming kernel reads the shared memory
-  // module directly); the buffer ownership moves to dst. `bytes_hint`
+  // Neighbour transfer: requires geometric adjacency (throws
+  // std::invalid_argument otherwise; an O(1) check). Zero-copy in time
+  // and in data: the consuming kernel reads the shared memory module
+  // directly, so the buffer is moved, not copied, to dst. `bytes_hint`
   // supplies the link-byte tally when the move carries no payload
   // (timing-only execution).
   void neighbour_move(const TileCoord& src, const TileCoord& dst,
-                      const std::string& key, std::uint64_t bytes_hint = 0);
+                      BufferKey key, std::uint64_t bytes_hint = 0);
 
-  // DMA transfer: allowed between any two tiles. Duplicates the buffer
-  // (shadow copy in dst) -- the "twice the memory" cost -- and occupies
-  // the source tile's DMA engine for bytes / dma_rate. Returns completion
-  // time.
-  double dma_move(const TileCoord& src, const TileCoord& dst,
-                  const std::string& key, double ready,
-                  std::uint64_t bytes_hint = 0);
+  // DMA transfer: allowed between any two tiles. Copies the buffer into
+  // dst under key.shadow() while src keeps its original -- the "twice
+  // the memory" cost -- and occupies the source tile's DMA engine for
+  // bytes / dma_rate. Returns completion time.
+  double dma_move(const TileCoord& src, const TileCoord& dst, BufferKey key,
+                  double ready, std::uint64_t bytes_hint = 0);
 
   // Stream packet from PL into a tile (or between tiles) through the
   // packet-switched network; serializes on the destination's stream port.
-  // `payload_bytes_hint` supplies the wire size when the packet carries
-  // no payload (timing-only execution).
-  double stream_packet(const TileCoord& dst, const Packet& packet,
-                       double ready, bool store_payload,
+  // With `store_payload`, the payload is moved into dst's memory under
+  // BufferKey(header.task, header.column). `payload_bytes_hint` supplies
+  // the wire size when the packet carries no payload (timing-only
+  // execution).
+  double stream_packet(const TileCoord& dst, Packet packet, double ready,
+                       bool store_payload,
                        std::uint64_t payload_bytes_hint = 0);
 
   // Records a kernel run on the tile's core timeline.

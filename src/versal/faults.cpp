@@ -51,6 +51,30 @@ std::uint64_t buffer_checksum(std::span<const float> data) {
   return h;
 }
 
+std::uint64_t fabric_checksum(std::span<const float> data) {
+  constexpr std::uint64_t kPrime = 0x9e3779b97f4a7c15ull;  // odd
+  // Seeding with the length makes a truncated buffer mismatch too.
+  std::uint64_t h = 1469598103934665603ull ^ data.size();
+  const auto step = [&h](std::uint64_t word) {
+    // Odd multiply and xorshift are both invertible; the shift carries
+    // high-bit differences back into the low bits.
+    h = (h ^ word) * kPrime;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 2 <= data.size(); i += 2) {
+    std::uint64_t word;
+    std::memcpy(&word, &data[i], sizeof(word));
+    step(word);
+  }
+  if (i < data.size()) {
+    std::uint32_t word;
+    std::memcpy(&word, &data[i], sizeof(word));
+    step(word);
+  }
+  return h;
+}
+
 namespace {
 
 std::uint64_t splitmix64(std::uint64_t x) {

@@ -77,9 +77,17 @@ struct FaultEvent {
   std::string detail;
 };
 
-// FNV-1a over the byte image of a float buffer: the checksum the PL
-// sender stamps on outgoing columns and the detection points recompute.
+// FNV-1a over the byte image of a float buffer. The content digest of
+// the result cache keys and of sampled attestation (verify_ident): its
+// values must stay fixed, so it stays byte-wise.
 std::uint64_t buffer_checksum(std::span<const float> data);
+
+// The integrity checksum the PL sender stamps on outgoing columns and the
+// Rx boundary recomputes. Word-wise: one multiply per 64-bit word (two
+// floats). Each step is a bijection of the running state for a fixed
+// word, so any change confined to one word -- every single-bit flip --
+// always changes the result.
+std::uint64_t fabric_checksum(std::span<const float> data);
 
 class FaultInjector {
  public:

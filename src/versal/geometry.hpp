@@ -67,6 +67,24 @@ class ArrayGeometry {
   bool neighbour_transfer_possible(const TileCoord& src,
                                    const TileCoord& dst) const;
 
+  // Closed form of neighbour_transfer_possible for tiles inside the
+  // array, O(1) for the simulator's per-move check. A core reaches its
+  // own memory, the ones above and below it, and the horizontal one its
+  // row parity abuts (west in even rows, east in odd rows), so two tiles
+  // share a module when they are horizontal neighbours, when dst is in
+  // the next row up or down at src's column or at the column of src's
+  // abutting memory, or when they are two rows apart in one column.
+  static bool shares_memory_module(const TileCoord& src, const TileCoord& dst) {
+    const int dr = dst.row - src.row;
+    const int dc = dst.col - src.col;
+    switch (dr < 0 ? -dr : dr) {
+      case 0: return dc >= -1 && dc <= 1;
+      case 1: return dc == 0 || dc == (src.row % 2 == 0 ? -1 : 1);
+      case 2: return dc == 0;
+      default: return false;
+    }
+  }
+
  private:
   int rows_;
   int cols_;

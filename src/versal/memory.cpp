@@ -6,52 +6,72 @@
 
 namespace hsvd::versal {
 
-void TileMemory::store(const std::string& key, std::vector<float> values) {
+std::string to_string(BufferKey key) {
+  return cat("c", key.column(), ".t", key.task(), key.is_shadow() ? "#dma" : "");
+}
+
+std::size_t TileMemory::find(BufferKey key) const {
+  std::size_t i = 0;
+  while (i < slots_.size() && slots_[i].key != key) ++i;
+  return i;
+}
+
+std::vector<float> TileMemory::remove(std::size_t i) {
+  std::vector<float> data = std::move(slots_[i].data);
+  used_ -= data.size() * sizeof(float);
+  if (i + 1 != slots_.size()) slots_[i] = std::move(slots_.back());
+  slots_.pop_back();
+  return data;
+}
+
+void TileMemory::store(BufferKey key, std::vector<float> values) {
+  const std::size_t i = find(key);
+  const bool replacing = i < slots_.size();
   const std::uint64_t incoming = values.size() * sizeof(float);
   std::uint64_t after = used_ + incoming;
-  auto it = buffers_.find(key);
-  if (it != buffers_.end()) after -= it->second.size() * sizeof(float);
+  if (replacing) after -= slots_[i].data.size() * sizeof(float);
   if (after > capacity_) {
     throw std::runtime_error(
         cat("tile memory overflow: need ", after, " bytes of ", capacity_,
-            " storing '", key, "'"));
+            " storing '", to_string(key), "'"));
   }
   used_ = after;
   peak_ = peak_ > used_ ? peak_ : used_;
-  buffers_[key] = std::move(values);
+  if (replacing) {
+    slots_[i].data = std::move(values);
+  } else {
+    slots_.push_back(Slot{key, std::move(values)});
+  }
 }
 
-const std::vector<float>& TileMemory::load(const std::string& key) const {
-  auto it = buffers_.find(key);
-  HSVD_REQUIRE(it != buffers_.end(), cat("missing buffer '", key, "'"));
-  return it->second;
+const std::vector<float>& TileMemory::load(BufferKey key) const {
+  const std::size_t i = find(key);
+  HSVD_REQUIRE(i < slots_.size(), cat("missing buffer '", to_string(key), "'"));
+  return slots_[i].data;
 }
 
-void TileMemory::erase(const std::string& key) {
-  auto it = buffers_.find(key);
-  if (it == buffers_.end()) return;
-  used_ -= it->second.size() * sizeof(float);
-  buffers_.erase(it);
+std::vector<float> TileMemory::take(BufferKey key) {
+  const std::size_t i = find(key);
+  HSVD_REQUIRE(i < slots_.size(), cat("missing buffer '", to_string(key), "'"));
+  return remove(i);
 }
 
-std::size_t TileMemory::erase_if(
-    const std::function<bool(const std::string&)>& pred) {
+void TileMemory::erase(BufferKey key) {
+  const std::size_t i = find(key);
+  if (i < slots_.size()) remove(i);
+}
+
+std::size_t TileMemory::erase_if(const std::function<bool(BufferKey)>& pred) {
   std::size_t removed = 0;
-  for (auto it = buffers_.begin(); it != buffers_.end();) {
-    if (pred(it->first)) {
-      used_ -= it->second.size() * sizeof(float);
-      it = buffers_.erase(it);
+  for (std::size_t i = 0; i < slots_.size();) {
+    if (pred(slots_[i].key)) {
+      remove(i);  // the last slot moves into i: re-check it
       ++removed;
     } else {
-      ++it;
+      ++i;
     }
   }
   return removed;
-}
-
-void TileMemory::clear() {
-  buffers_.clear();
-  used_ = 0;
 }
 
 }  // namespace hsvd::versal

@@ -3,8 +3,10 @@
 # identical to the committed golden. Invoked by ctest as
 #
 #   cmake -DBENCH=<path-to-exe> -DCSV=<name>.csv -DGOLDEN=<path> \
-#         -DWORKDIR=<scratch> -P run_golden.cmake
+#         -DWORKDIR=<scratch> [-DARGS="<arg> ..."] -P run_golden.cmake
 #
+# ARGS, when given, is a space-separated argument list for the
+# executable (for a tool that needs flags to write its CSV).
 # A drifted artifact fails with a unified diff so the change is visible
 # in the ctest log; intentional model changes re-bless the golden by
 # copying the new CSV over tests/golden/<name>.csv.
@@ -14,9 +16,10 @@ foreach(var BENCH CSV GOLDEN WORKDIR)
   endif()
 endforeach()
 
+separate_arguments(bench_args UNIX_COMMAND "${ARGS}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 execute_process(
-  COMMAND "${BENCH}"
+  COMMAND "${BENCH}" ${bench_args}
   WORKING_DIRECTORY "${WORKDIR}"
   RESULT_VARIABLE bench_rc
   OUTPUT_QUIET)

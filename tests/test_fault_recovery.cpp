@@ -140,6 +140,11 @@ TEST(FaultRecovery, ChecksumCatchesInFabricBitFlip) {
   EXPECT_EQ(run.failed_tasks, 1);
   EXPECT_EQ(run.tasks[1].status, hsvd::SvdStatus::kFailed);
   EXPECT_NE(run.tasks[1].message.find("checksum"), std::string::npos);
+  // Diagnostics name the buffer as c<col>.t<task> and the Rx tile that
+  // caught it (the flip landed upstream, on layer 0).
+  EXPECT_EQ(run.tasks[1].message,
+            "checksum mismatch on c13.t1 at tile (1,14) (corrupted in the "
+            "fabric)");
   EXPECT_EQ(run.tasks[0].status, hsvd::SvdStatus::kOk);
 }
 

@@ -33,6 +33,39 @@ TEST(FaultChecksum, SensitiveToSingleBit) {
   EXPECT_NE(ca, buffer_checksum(b));
 }
 
+TEST(FaultChecksum, BufferChecksumKnownAnswer) {
+  // FNV-1a keys the result cache and picks sampled attestations; pinning
+  // one value keeps both digests from moving silently.
+  EXPECT_EQ(buffer_checksum(ramp(64)), 0x7824937ef7629533ull);
+  EXPECT_EQ(buffer_checksum({}), 1469598103934665603ull);
+}
+
+TEST(FaultChecksum, FabricChecksumDetectsEverySingleBitFlip) {
+  std::vector<float> column = ramp(64);
+  const std::uint64_t clean = fabric_checksum(column);
+  EXPECT_EQ(clean, fabric_checksum(ramp(64)));  // deterministic
+  int missed = 0;
+  for (std::size_t word = 0; word < column.size(); ++word) {
+    for (int bit = 0; bit < 32; ++bit) {
+      std::uint32_t bits;
+      std::memcpy(&bits, &column[word], sizeof(bits));
+      bits ^= 1u << bit;
+      std::memcpy(&column[word], &bits, sizeof(bits));
+      if (fabric_checksum(column) == clean) ++missed;
+      bits ^= 1u << bit;
+      std::memcpy(&column[word], &bits, sizeof(bits));
+    }
+  }
+  EXPECT_EQ(missed, 0);
+  // An odd-length buffer's trailing word and a truncation are covered too.
+  const std::vector<float> odd = ramp(5);
+  std::vector<float> flipped = odd;
+  flipped[4] = -flipped[4];
+  EXPECT_NE(fabric_checksum(odd), fabric_checksum(flipped));
+  EXPECT_NE(fabric_checksum(odd),
+            fabric_checksum(std::span<const float>(odd).first(4)));
+}
+
 TEST(FaultKinds, NamesAndCorruptionClass) {
   EXPECT_STREQ(to_string(FaultKind::kTileHang), "tile-hang");
   EXPECT_STREQ(to_string(FaultKind::kPlioDegrade), "plio-degrade");
@@ -161,15 +194,17 @@ TEST(FaultArray, DroppedDmaNeverLandsTheShadow) {
   plan.faults.push_back({FaultKind::kDmaDrop, {1, 1}, 0, 0, 0.0, 1.0});
   FaultInjector inj(plan);
   array.attach_faults(&inj);
-  array.memory({1, 1}).store("c0.t0", ramp(16));
-  const double done = array.dma_move({1, 1}, {5, 5}, "c0.t0", 0.0);
+  const BufferKey c0(0, 0);
+  array.memory({1, 1}).store(c0, ramp(16));
+  const double done = array.dma_move({1, 1}, {5, 5}, c0, 0.0);
   EXPECT_GT(done, 0.0);  // the engine still burned its time
-  EXPECT_FALSE(array.memory({5, 5}).contains("c0.t0#dma"));
-  EXPECT_TRUE(array.memory({1, 1}).contains("c0.t0"));  // source intact
+  EXPECT_FALSE(array.memory({5, 5}).contains(c0.shadow()));
+  EXPECT_TRUE(array.memory({1, 1}).contains(c0));  // source intact
   // The next DMA from the same tile is clean (one-shot).
-  array.memory({1, 1}).store("c1.t0", ramp(16));
-  array.dma_move({1, 1}, {5, 5}, "c1.t0", 0.0);
-  EXPECT_TRUE(array.memory({5, 5}).contains("c1.t0#dma"));
+  const BufferKey c1(0, 1);
+  array.memory({1, 1}).store(c1, ramp(16));
+  array.dma_move({1, 1}, {5, 5}, c1, 0.0);
+  EXPECT_TRUE(array.memory({5, 5}).contains(c1.shadow()));
 }
 
 TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
@@ -184,8 +219,8 @@ TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
   packet.payload = ramp(24);
   const std::uint64_t sent = buffer_checksum(packet.payload);
   array.stream_packet({2, 7}, packet, 0.0, /*store_payload=*/true);
-  ASSERT_TRUE(array.memory({2, 7}).contains("c4.t2"));
-  const auto stored = array.memory({2, 7}).load("c4.t2");
+  ASSERT_TRUE(array.memory({2, 7}).contains(BufferKey(2, 4)));
+  const auto stored = array.memory({2, 7}).load(BufferKey(2, 4));
   EXPECT_NE(buffer_checksum(stored), sent);
   ASSERT_EQ(inj.events().size(), 1u);
   EXPECT_EQ(inj.events().front().kind, FaultKind::kMemoryBitFlip);
@@ -207,8 +242,8 @@ TEST(FaultArray, StallStretchesTheTimelineOnly) {
       stalled_array.stream_packet({0, 2}, packet, 0.0, true);
   EXPECT_NEAR(stalled_done - clean_done, 5e-6, 1e-12);
   // Payload intact: stalls never corrupt.
-  EXPECT_EQ(stalled_array.memory({0, 2}).load("c0.t0"),
-            clean_array.memory({0, 2}).load("c0.t0"));
+  EXPECT_EQ(stalled_array.memory({0, 2}).load(BufferKey(0, 0)),
+            clean_array.memory({0, 2}).load(BufferKey(0, 0)));
 }
 
 }  // namespace

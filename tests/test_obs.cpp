@@ -395,7 +395,7 @@ TEST(Trace, AttachesToArraySim) {
   obs.enable_tracing();
   sim.attach_observer(&obs);
   sim.run_kernel({1, 1}, 0.0, 1e-6);
-  sim.dma_move({0, 0}, {2, 2}, "k", 0.0, 1024);
+  sim.dma_move({0, 0}, {2, 2}, versal::BufferKey(0, 0), 0.0, 1024);
   versal::Packet p;
   p.payload.assign(8, 0.0f);
   sim.stream_packet({1, 0}, p, 0.0, false);

@@ -56,8 +56,8 @@ TEST_F(SenderTest, RoutesPayloadThroughForwardingTable) {
   const double done = sender_->send_column(0, 1, /*column=*/7, /*task=*/0, 0.0,
                                            payload, 64);
   EXPECT_GT(done, 0.0);
-  EXPECT_TRUE(array_.memory({1, 1}).contains("c7.t0"));
-  EXPECT_FALSE(array_.memory({1, 0}).contains("c7.t0"));
+  EXPECT_TRUE(array_.memory({1, 1}).contains(versal::BufferKey(0, 7)));
+  EXPECT_FALSE(array_.memory({1, 0}).contains(versal::BufferKey(0, 7)));
 }
 
 TEST_F(SenderTest, SerializesPerChannel) {

@@ -91,5 +91,34 @@ TEST(Geometry, TransfersWithinRow) {
               geo.neighbour_transfer_possible({0, 3}, {0, 4}));
 }
 
+// The simulator checks every neighbour move with the O(1) closed form;
+// it must agree with the module-grid scan on the whole VCK190 array, for
+// sources and destinations of both row parities.
+TEST(Geometry, ClosedFormAgreesWithModuleGridScan) {
+  const ArrayGeometry geo(8, 50);
+  int mismatches = 0;
+  int reachable[2] = {0, 0};  // per source row parity, excluding src == dst
+  for (int sr = 0; sr < geo.rows(); ++sr) {
+    for (int sc = 0; sc < geo.cols(); ++sc) {
+      for (int dr = 0; dr < geo.rows(); ++dr) {
+        for (int dc = 0; dc < geo.cols(); ++dc) {
+          const TileCoord src{sr, sc};
+          const TileCoord dst{dr, dc};
+          const bool scan = geo.neighbour_transfer_possible(src, dst);
+          if (ArrayGeometry::shares_memory_module(src, dst) != scan) {
+            ++mismatches;
+            ADD_FAILURE() << to_string(src) << " -> " << to_string(dst)
+                          << ": scan says " << scan;
+          }
+          if (scan && !(src == dst)) ++reachable[sr % 2];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(reachable[0], 0);
+  EXPECT_GT(reachable[1], 0);
+}
+
 }  // namespace
 }  // namespace hsvd::versal

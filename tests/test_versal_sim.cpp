@@ -10,37 +10,119 @@
 namespace hsvd::versal {
 namespace {
 
+// Column buffers of one task; tests that need no particular key use these.
+const BufferKey kA{0, 1};
+const BufferKey kB{0, 2};
+
 TEST(TileMemory, StoresAndLoads) {
   TileMemory mem(1024);
-  mem.store("a", {1.0f, 2.0f});
-  EXPECT_TRUE(mem.contains("a"));
-  EXPECT_EQ(mem.load("a")[1], 2.0f);
+  mem.store(kA, {1.0f, 2.0f});
+  EXPECT_TRUE(mem.contains(kA));
+  EXPECT_EQ(mem.load(kA)[1], 2.0f);
   EXPECT_EQ(mem.used_bytes(), 8u);
 }
 
 TEST(TileMemory, OverflowThrows) {
   TileMemory mem(16);  // room for 4 floats
-  mem.store("a", {1, 2, 3, 4});
-  EXPECT_THROW(mem.store("b", {5.0f}), std::runtime_error);
+  mem.store(kA, {1, 2, 3, 4});
+  EXPECT_THROW(mem.store(kB, {5.0f}), std::runtime_error);
   // Replacing an existing buffer of equal size is fine.
-  mem.store("a", {9, 9, 9, 9});
-  EXPECT_EQ(mem.load("a")[0], 9.0f);
+  mem.store(kA, {9, 9, 9, 9});
+  EXPECT_EQ(mem.load(kA)[0], 9.0f);
+}
+
+TEST(TileMemory, ReplacingABufferReaccountsItsBytes) {
+  TileMemory mem(32);  // room for 8 floats
+  mem.store(kA, {1, 2, 3, 4});
+  mem.store(kA, {1, 2});  // shrink in place
+  EXPECT_EQ(mem.used_bytes(), 8u);
+  mem.store(kB, {1, 2, 3, 4, 5, 6});  // fits only because kA shrank
+  EXPECT_EQ(mem.used_bytes(), 32u);
+  // Growing kA past the budget throws and leaves the accounting alone.
+  EXPECT_THROW(mem.store(kA, {1, 2, 3}), std::runtime_error);
+  EXPECT_EQ(mem.used_bytes(), 32u);
+  EXPECT_EQ(mem.load(kA).size(), 2u);
+  mem.store(kB, {1});  // shrinking kB frees room for kA to grow
+  mem.store(kA, {1, 2, 3, 4, 5, 6, 7});
+  EXPECT_EQ(mem.used_bytes(), 32u);
+  EXPECT_EQ(mem.peak_bytes(), 32u);
 }
 
 TEST(TileMemory, EraseReleasesCapacity) {
   TileMemory mem(16);
-  mem.store("a", {1, 2, 3, 4});
-  mem.erase("a");
+  mem.store(kA, {1, 2, 3, 4});
+  mem.erase(kA);
   EXPECT_EQ(mem.used_bytes(), 0u);
   EXPECT_EQ(mem.peak_bytes(), 16u);  // peak is sticky
-  mem.store("b", {1, 2, 3, 4});      // fits again
-  EXPECT_TRUE(mem.contains("b"));
+  mem.store(kB, {1, 2, 3, 4});       // fits again
+  EXPECT_TRUE(mem.contains(kB));
 }
 
 TEST(TileMemory, MissingBufferThrows) {
   TileMemory mem(64);
-  EXPECT_THROW(mem.load("ghost"), std::invalid_argument);
-  mem.erase("ghost");  // erase of absent key is a no-op
+  const BufferKey ghost{9, 9};
+  EXPECT_THROW(mem.load(ghost), std::invalid_argument);
+  EXPECT_THROW(mem.take(ghost), std::invalid_argument);
+  mem.erase(ghost);  // erase of absent key is a no-op
+  EXPECT_EQ(mem.used_bytes(), 0u);
+}
+
+TEST(TileMemory, TakeMovesTheBufferOut) {
+  TileMemory mem(64);
+  mem.store(kA, {1, 2, 3});
+  mem.store(kB, {4});
+  const std::vector<float> out = mem.take(kA);
+  EXPECT_EQ(out, (std::vector<float>{1, 2, 3}));
+  EXPECT_FALSE(mem.contains(kA));
+  EXPECT_EQ(mem.used_bytes(), 4u);
+  EXPECT_THROW(mem.take(kA), std::invalid_argument);  // taken once only
+  EXPECT_EQ(mem.load(kB)[0], 4.0f);
+}
+
+TEST(TileMemory, PurgingTaskOneKeepsTaskTwelve) {
+  // Task 1 must not claim task 12's buffers (the ".t1" vs ".t12" edge of
+  // a string key), nor buffers whose column, not task, is 1.
+  TileMemory mem(1024);
+  mem.store(BufferKey(1, 3), {1});
+  mem.store(BufferKey(1, 3).shadow(), {1});
+  mem.store(BufferKey(12, 1), {2, 2});
+  mem.store(BufferKey(12, 1).shadow(), {2, 2});
+  mem.store(BufferKey(2, 11), {3, 3, 3});
+  mem.store(BufferKey(1, 12), {4});
+  const std::size_t removed =
+      mem.erase_if([](BufferKey key) { return key.task() == 1; });
+  EXPECT_EQ(removed, 3u);
+  EXPECT_FALSE(mem.contains(BufferKey(1, 3)));
+  EXPECT_FALSE(mem.contains(BufferKey(1, 3).shadow()));
+  EXPECT_FALSE(mem.contains(BufferKey(1, 12)));
+  EXPECT_TRUE(mem.contains(BufferKey(12, 1)));
+  EXPECT_TRUE(mem.contains(BufferKey(12, 1).shadow()));
+  EXPECT_TRUE(mem.contains(BufferKey(2, 11)));
+  EXPECT_EQ(mem.used_bytes(), 7u * sizeof(float));
+  EXPECT_EQ(mem.load(BufferKey(2, 11)).size(), 3u);
+}
+
+TEST(BufferKey, LiveAndShadowKeysAreDistinct) {
+  const BufferKey live(3, 7);
+  const BufferKey shadow = live.shadow();
+  EXPECT_NE(live, shadow);
+  EXPECT_EQ(shadow, live.shadow());
+  EXPECT_EQ(shadow.task(), 3u);
+  EXPECT_EQ(shadow.column(), 7u);
+  EXPECT_FALSE(live.is_shadow());
+  EXPECT_TRUE(shadow.is_shadow());
+  EXPECT_NE(BufferKey(3, 7), BufferKey(7, 3));
+  EXPECT_EQ(to_string(live), "c7.t3");
+  EXPECT_EQ(to_string(shadow), "c7.t3#dma");
+  // Both copies of one column coexist in a tile (the DMA 2x cost).
+  TileMemory mem(64);
+  mem.store(live, {1, 2});
+  mem.store(shadow, {3, 4});
+  EXPECT_EQ(mem.used_bytes(), 16u);
+  EXPECT_EQ(mem.load(live)[0], 1.0f);
+  EXPECT_EQ(mem.load(shadow)[0], 3.0f);
+  mem.erase(shadow);
+  EXPECT_TRUE(mem.contains(live));
 }
 
 TEST(Timeline, SerializesOperations) {
@@ -85,24 +167,24 @@ class ArraySimTest : public ::testing::Test {
 };
 
 TEST_F(ArraySimTest, NeighbourMoveTransfersOwnership) {
-  sim_.memory({0, 3}).store("k", {1, 2, 3});
-  sim_.neighbour_move({0, 3}, {1, 3}, "k");
-  EXPECT_FALSE(sim_.memory({0, 3}).contains("k"));
-  EXPECT_TRUE(sim_.memory({1, 3}).contains("k"));
+  sim_.memory({0, 3}).store(kA, {1, 2, 3});
+  sim_.neighbour_move({0, 3}, {1, 3}, kA);
+  EXPECT_FALSE(sim_.memory({0, 3}).contains(kA));
+  EXPECT_TRUE(sim_.memory({1, 3}).contains(kA));
   EXPECT_EQ(sim_.stats().neighbour_transfers, 1u);
 }
 
 TEST_F(ArraySimTest, NeighbourMoveRejectsNonNeighbours) {
-  EXPECT_THROW(sim_.neighbour_move({0, 0}, {4, 4}, "k"), std::invalid_argument);
+  EXPECT_THROW(sim_.neighbour_move({0, 0}, {4, 4}, kA), std::invalid_argument);
 }
 
 TEST_F(ArraySimTest, DmaMoveDuplicatesBuffer) {
-  sim_.memory({0, 0}).store("k", {1, 2, 3, 4});
-  const double done = sim_.dma_move({0, 0}, {5, 5}, "k", 0.0);
+  sim_.memory({0, 0}).store(kA, {1, 2, 3, 4});
+  const double done = sim_.dma_move({0, 0}, {5, 5}, kA, 0.0);
   EXPECT_GT(done, 0.0);
   // Shadow copy coexists with the original: the 2x memory cost.
-  EXPECT_TRUE(sim_.memory({0, 0}).contains("k"));
-  EXPECT_TRUE(sim_.memory({5, 5}).contains("k#dma"));
+  EXPECT_TRUE(sim_.memory({0, 0}).contains(kA));
+  EXPECT_TRUE(sim_.memory({5, 5}).contains(kA.shadow()));
   EXPECT_EQ(sim_.stats().dma_transfers, 1u);
   EXPECT_EQ(sim_.stats().dma_bytes, 16u);
 }
@@ -110,14 +192,14 @@ TEST_F(ArraySimTest, DmaMoveDuplicatesBuffer) {
 TEST_F(ArraySimTest, DmaChargesSetupPlusTransfer) {
   // 1 KB over the DMA engine at 4 B/cycle @ 1.25 GHz plus the 300-cycle
   // buffer-descriptor/lock setup.
-  sim_.memory({0, 0}).store("k", std::vector<float>(256, 1.0f));
-  const double done = sim_.dma_move({0, 0}, {3, 3}, "k", 0.0);
+  sim_.memory({0, 0}).store(kA, std::vector<float>(256, 1.0f));
+  const double done = sim_.dma_move({0, 0}, {3, 3}, kA, 0.0);
   EXPECT_NEAR(done, sim_.dma_setup_seconds() + 1024.0 / (4.0 * 1.25e9), 1e-12);
   EXPECT_GT(sim_.dma_setup_seconds(), 0.0);
 }
 
 TEST_F(ArraySimTest, TimingOnlyDmaUsesByteHint) {
-  const double done = sim_.dma_move({0, 0}, {3, 3}, "nothing", 0.0, 2048);
+  const double done = sim_.dma_move({0, 0}, {3, 3}, kA, 0.0, 2048);
   EXPECT_NEAR(done, sim_.dma_setup_seconds() + 2048.0 / (4.0 * 1.25e9), 1e-12);
   EXPECT_EQ(sim_.stats().dma_bytes, 2048u);
 }
@@ -129,7 +211,7 @@ TEST_F(ArraySimTest, StreamPacketStoresPayloadAndSerializes) {
   const double t1 = sim_.stream_packet({2, 2}, p, 0.0, true);
   const double t2 = sim_.stream_packet({2, 2}, p, 0.0, false);
   EXPECT_GT(t2, t1);  // same port: serialized
-  EXPECT_TRUE(sim_.memory({2, 2}).contains("c7.t0"));
+  EXPECT_TRUE(sim_.memory({2, 2}).contains(BufferKey(0, 7)));
   EXPECT_EQ(sim_.stats().stream_packets, 2u);
 }
 
@@ -149,9 +231,9 @@ TEST_F(ArraySimTest, ResetTimeClearsTimelinesButKeepsStats) {
 }
 
 TEST_F(ArraySimTest, PeakMemoryAggregates) {
-  sim_.memory({0, 0}).store("a", std::vector<float>(100, 0.0f));
-  sim_.memory({3, 3}).store("b", std::vector<float>(50, 0.0f));
-  sim_.memory({0, 0}).erase("a");
+  sim_.memory({0, 0}).store(kA, std::vector<float>(100, 0.0f));
+  sim_.memory({3, 3}).store(kB, std::vector<float>(50, 0.0f));
+  sim_.memory({0, 0}).erase(kA);
   EXPECT_EQ(sim_.peak_memory_bytes(), 600u);
 }
 
