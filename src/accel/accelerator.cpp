@@ -99,7 +99,11 @@ void HeteroSvdAccelerator::rebuild() {
         versal::Channel(cat("ntx.", t), plio_rate_tx),
         versal::Channel(cat("nrx.", t), plio_rate_rx),
         nullptr,
-        nullptr});
+        nullptr,
+        versal::BufferPool(static_cast<std::size_t>(2 * config_.p_eng)),
+        std::vector<int>(static_cast<std::size_t>(2 * config_.p_eng)),
+        std::vector<double>(static_cast<std::size_t>(2 * config_.p_eng)),
+        std::vector<std::uint64_t>(static_cast<std::size_t>(2 * config_.p_eng))});
     // The dynamic-forwarding rule of section III-C: dest_id e routes to
     // engine e of the slot's first orth-layer.
     versal::ForwardingTable forwarding;
@@ -223,20 +227,21 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
 
   // ---- Tx: both blocks of the pair over their own PLIOs ---------
   // Local column c (0..2k-1): block u columns then block v columns.
-  std::vector<int> global(static_cast<std::size_t>(2 * k));
+  std::vector<int>& global = ch.global;
   for (int i = 0; i < k; ++i) {
     global[static_cast<std::size_t>(i)] = bu * k + i;
     global[static_cast<std::size_t>(k + i)] = bv * k + i;
   }
-  std::vector<double> arrival(static_cast<std::size_t>(2 * k));
-  // Checksums stamped on outgoing columns by the PL sender; the Rx
-  // boundary recomputes them to catch in-fabric corruption.
-  std::vector<std::uint64_t> sent_crc(static_cast<std::size_t>(2 * k), 0);
+  // Every Tx below sets its column's arrival; the functional ones also
+  // stamp the checksum the Rx boundary recomputes to catch in-fabric
+  // corruption.
+  std::vector<double>& arrival = ch.arrival;
+  std::vector<std::uint64_t>& sent_crc = ch.sent_crc;
   for (int c = 0; c < 2 * k; ++c) {
     std::vector<float> payload;
     if (functional) {
-      auto col = b->col(static_cast<std::size_t>(global[static_cast<std::size_t>(c)]));
-      payload.assign(col.begin(), col.end());
+      payload = ch.column_buffers.copy_of(
+          b->col(static_cast<std::size_t>(global[static_cast<std::size_t>(c)])));
       sent_crc[static_cast<std::size_t>(c)] =
           versal::fabric_checksum(payload);
     }
@@ -306,7 +311,8 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
           arrival[static_cast<std::size_t>(mv.column)] = done;
           if (functional) {
             // Resolve the DMA shadow: the consumer's copy becomes
-            // the live buffer, the producer's original is released.
+            // the live buffer, the producer's original is released
+            // (its storage backs the source tile's next shadow).
             auto& dst_mem = array_->memory(mv.dst);
             if (!dst_mem.contains(key.shadow())) {
               throw FaultDetected(
@@ -315,7 +321,7 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                   mv.src.row, mv.src.col, done);
             }
             std::vector<float> data = dst_mem.take(key.shadow());
-            array_->memory(mv.src).erase(key);
+            array_->release(mv.src, key);
             dst_mem.store(key, std::move(data));
           }
         }
@@ -341,9 +347,12 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
       }
       // Rx boundary integrity check: the fabric only routed this
       // buffer, so its checksum must still match what the sender
-      // stamped; a mismatch is an in-fabric SEU.
-      if (versal::fabric_checksum(mem.take(key)) !=
-          sent_crc[static_cast<std::size_t>(c)]) {
+      // stamped; a mismatch is an in-fabric SEU. The drained buffer
+      // backs a later Tx payload of this slot.
+      std::vector<float> drained = mem.take(key);
+      const std::uint64_t crc = versal::fabric_checksum(drained);
+      ch.column_buffers.release(std::move(drained));
+      if (crc != sent_crc[static_cast<std::size_t>(c)]) {
         throw FaultDetected(cat("checksum mismatch on ", versal::to_string(key),
                                 " at tile ", versal::to_string(tile),
                                 " (corrupted in the fabric)"),

@@ -221,7 +221,12 @@ class HeteroSvdAccelerator {
   int next_task_id_ = 0;
   std::vector<std::vector<std::pair<int, int>>> block_rounds_;
   // Per task slot: 2 Tx + 2 Rx orth channels, 1 Tx + 1 Rx norm channel
-  // (6 PLIOs, Table I), plus the PL modules of Fig. 2 wired to them.
+  // (6 PLIOs, Table I), plus the PL modules of Fig. 2 wired to them. The
+  // slot's chain also owns (so nothing here is synchronized) the column
+  // buffers Rx drained, reused by its next Tx payloads, and a block
+  // pair's working state: per local column, its global index, arrival
+  // time and Tx checksum, sized 2 * P_eng once and overwritten by every
+  // pair.
   struct SlotChannels {
     versal::Channel tx[2];
     versal::Channel rx[2];
@@ -229,6 +234,10 @@ class HeteroSvdAccelerator {
     versal::Channel norm_rx;
     std::unique_ptr<Sender> sender;
     std::unique_ptr<Receiver> receiver;
+    versal::BufferPool column_buffers;
+    std::vector<int> global;
+    std::vector<double> arrival;
+    std::vector<std::uint64_t> sent_crc;
   };
   std::vector<std::unique_ptr<SlotChannels>> channels_;
   versal::NocModel noc_;

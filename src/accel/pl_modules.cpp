@@ -62,7 +62,7 @@ double Sender::send_column(int which_block_channel, std::uint32_t dest_id,
     obs->metrics().add("sim.plio.bytes", static_cast<std::uint64_t>(bytes));
     if (obs::Tracer* tr = obs->tracer()) {
       const double dur = tx.transfer_duration(bytes);
-      tr->span(obs::Domain::kSim, cat("plio.", tx.timeline().name()),
+      tr->span(obs::Domain::kSim, cat("plio.", tx.name()),
                cat("c", column, ".t", task), "plio", at_plio - dur, dur);
     }
   }
@@ -89,7 +89,7 @@ double Receiver::receive_column(int which_block_channel, double ready,
                          static_cast<std::uint64_t>(column_bytes));
       if (obs::Tracer* tr = obs->tracer()) {
         const double dur = rx.transfer_duration(column_bytes);
-        tr->span(obs::Domain::kSim, cat("plio.", rx.timeline().name()), "col",
+        tr->span(obs::Domain::kSim, cat("plio.", rx.name()), "col",
                  "plio", done - dur, dur);
       }
     }

@@ -16,6 +16,9 @@ namespace {
 // Architectural parameter ranges of Table I.
 constexpr int kMaxPeng = 11;
 constexpr int kMaxPtask = 26;
+// Cross-call memo capacity (DseRequest::memoize), in distinct requests;
+// an entry is one enumeration (~90 points, ~19 KB).
+constexpr std::size_t kMaxMemoEntries = 128;
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -59,6 +62,8 @@ std::string dse_checkpoint_tag(const DseRequest& request) {
   fold(static_cast<std::uint64_t>(dev.total_bram));
   fold(static_cast<std::uint64_t>(dev.total_uram));
   fold(dev.lut_total);
+  fold(dev.uram_bytes);
+  fold(dev.bram_bytes);
   fold_d(dev.ddr_bytes_per_s);
   fold_d(dev.ddr_latency_s);
   fold(static_cast<std::uint64_t>(dev.ddr_ports));
@@ -139,12 +144,11 @@ accel::HeteroSvdConfig DesignSpaceExplorer::make_config(
 std::shared_ptr<const DesignSpaceExplorer::PlacedPoint>
 DesignSpaceExplorer::place_cached(const DseRequest& request, int p_eng,
                                   int p_task, SliceCache& cache) const {
-  auto it = cache.find(p_task);
-  if (it != cache.end()) {
-    counters_->placement_reuses.fetch_add(1, std::memory_order_relaxed);
+  auto it = cache.points.find(p_task);
+  if (it != cache.points.end()) {
+    ++cache.reuses;
     return it->second;
   }
-  counters_->placement_calls.fetch_add(1, std::memory_order_relaxed);
   auto point = std::make_shared<PlacedPoint>();
   point->config = make_config(request, p_eng, p_task);
   point->placement = accel::try_place(point->config);
@@ -153,7 +157,7 @@ DesignSpaceExplorer::place_cached(const DseRequest& request, int p_eng,
         perf::estimate_resources(point->config, *point->placement);
     point->feasible = point->resources.fits(request.device);
   }
-  cache.emplace(p_task, point);
+  cache.points.emplace(p_task, point);
   return point;
 }
 
@@ -188,8 +192,6 @@ DseStats DesignSpaceExplorer::last_stats() const {
 std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
     const DseRequest& request) const {
   HSVD_REQUIRE(request.batch >= 1, "batch must be positive");
-  counters_->placement_calls.store(0, std::memory_order_relaxed);
-  counters_->placement_reuses.store(0, std::memory_order_relaxed);
 
   // Cross-call memo: a repeat request replays the recorded pre-sort
   // enumeration (re-sorted below for *this* call's objective, which the
@@ -200,6 +202,8 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
     std::lock_guard<std::mutex> lock(counters_->enumerate_memo_mutex);
     const auto it = counters_->enumerate_memo.find(memo_key);
     if (it != counters_->enumerate_memo.end()) {
+      counters_->placement_calls.store(0, std::memory_order_relaxed);
+      counters_->placement_reuses.store(0, std::memory_order_relaxed);
       counters_->enumerate_memo_hits.fetch_add(1, std::memory_order_relaxed);
       if (request.observer != nullptr) {
         request.observer->metrics().add("dse.enumerate.memo_hit");
@@ -229,6 +233,7 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
   // enumeration deterministic for any thread count.
   std::vector<std::vector<DesignPoint>> slices(
       static_cast<std::size_t>(kMaxPeng));
+  std::vector<SliceCache> caches(static_cast<std::size_t>(kMaxPeng));
   const auto evaluate_slice = [&](std::size_t slice) {
     const int p_eng = static_cast<int>(slice) + 1;
     if (request.cols < 2 * static_cast<std::size_t>(p_eng)) return;
@@ -241,7 +246,7 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
         if (deserialize_points(*payload, slices[slice])) return;
       }
     }
-    SliceCache cache;
+    SliceCache& cache = caches[slice];
     const auto max_tasks = max_task_parallelism_cached(request, p_eng, cache);
     if (max_tasks.has_value()) {
       // Stage 2 scores every P_task up to the stage-1 maximum: latency-
@@ -311,19 +316,31 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
   for (const auto& slice : slices) {
     points.insert(points.end(), slice.begin(), slice.end());
   }
+  std::uint64_t placement_calls = 0;
+  std::uint64_t placement_reuses = 0;
+  for (const auto& cache : caches) {
+    placement_calls += cache.points.size();
+    placement_reuses += cache.reuses;
+  }
+  counters_->placement_calls.store(placement_calls, std::memory_order_relaxed);
+  counters_->placement_reuses.store(placement_reuses,
+                                    std::memory_order_relaxed);
   if (request.observer != nullptr) {
     auto& metrics = request.observer->metrics();
-    metrics.add("dse.placement_calls",
-                counters_->placement_calls.load(std::memory_order_relaxed));
-    metrics.add("dse.placement_reuses",
-                counters_->placement_reuses.load(std::memory_order_relaxed));
+    metrics.add("dse.placement_calls", placement_calls);
+    metrics.add("dse.placement_reuses", placement_reuses);
     metrics.add("dse.points", points.size());
   }
   if (request.memoize) {
     // Record the pre-sort concatenation so one memo entry serves both
     // objectives (first insertion wins; concurrent callers computed the
-    // identical points anyway).
+    // identical points anyway). A caller streaming ever-new shapes must
+    // not grow the memo without limit: when full it is dropped whole,
+    // and a shape asked for again simply plans once more.
     std::lock_guard<std::mutex> lock(counters_->enumerate_memo_mutex);
+    if (counters_->enumerate_memo.size() >= kMaxMemoEntries) {
+      counters_->enumerate_memo.clear();
+    }
     counters_->enumerate_memo.emplace(memo_key, points);
   }
   const auto better = [&](const DesignPoint& a, const DesignPoint& b) {

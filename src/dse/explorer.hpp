@@ -93,8 +93,9 @@ struct DseRequest {
   // explorer's shared state under the same request digest the checkpoint
   // uses, and a repeat request returns the cached points with zero
   // placement calls. Opt-in because the memo pins the scored points in
-  // memory for the explorer's lifetime; the backend router (which asks
-  // for the same handful of shapes over and over) turns it on.
+  // memory (up to 128 requests' worth, ~19 KB each, then it starts over);
+  // the backend router and the svd()/svd_batch() facade, which ask for
+  // the same handful of shapes over and over, turn it on.
   bool memoize = false;
 };
 
@@ -140,10 +141,15 @@ class DesignSpaceExplorer {
     perf::ResourceUsage resources;
     bool feasible = false;
   };
-  // Per-P_eng-slice memo: P_task -> placement attempt. Slices are
-  // independent, so each parallel slice owns its own cache and there is
-  // no cross-thread sharing to synchronize.
-  using SliceCache = std::map<int, std::shared_ptr<const PlacedPoint>>;
+  // Per-P_eng-slice memo: P_task -> placement attempt, plus how often an
+  // attempt was served from it. Slices are independent, so each parallel
+  // slice owns its own cache and there is no cross-thread sharing to
+  // synchronize; every miss adds one entry, so points.size() is the
+  // slice's placement-call count.
+  struct SliceCache {
+    std::map<int, std::shared_ptr<const PlacedPoint>> points;
+    std::uint64_t reuses = 0;
+  };
 
   accel::HeteroSvdConfig make_config(const DseRequest& request, int p_eng,
                                      int p_task) const;
@@ -158,10 +164,11 @@ class DesignSpaceExplorer {
   perf::PowerModel power_;
   perf::PerformanceModel perf_;
   // Shared (not copied per explorer value) so that the counters survive
-  // the copies the by-value API encourages; atomics because P_eng slices
-  // run concurrently. The cross-call enumerate memo lives here too, so
-  // copies of one explorer (the backend registry holds several) share
-  // one memo.
+  // the copies the by-value API encourages; atomics because one explorer
+  // serves concurrent callers (each enumerate() counts its own slices and
+  // publishes the totals once). The cross-call enumerate memo lives here
+  // too, so copies of one explorer (the backend registry holds several)
+  // share one memo.
   struct Counters {
     std::atomic<std::uint64_t> placement_calls{0};
     std::atomic<std::uint64_t> placement_reuses{0};

@@ -92,6 +92,15 @@ void backoff_sleep(const SvdOptions& options, common::BackoffSchedule& backoff,
   resolve_clock(options).sleep_for(delay);
 }
 
+// The facade's one explorer. With DseRequest::memoize, its cross-call
+// enumerate memo (keyed by the full request digest: shape, batch,
+// iterations, frequency, device budgets) plans each shape once per
+// process; a repeated shape costs no placement and no model evaluation.
+const dse::DesignSpaceExplorer& facade_explorer() {
+  static const dse::DesignSpaceExplorer explorer;
+  return explorer;
+}
+
 accel::HeteroSvdConfig choose_config(std::size_t rows, std::size_t cols,
                                      int batch, const SvdOptions& options) {
   if (options.config.has_value()) {
@@ -109,7 +118,8 @@ accel::HeteroSvdConfig choose_config(std::size_t rows, std::size_t cols,
   req.device = options.device;
   req.threads = options.threads;
   req.observer = options.observer;
-  const auto point = dse::DesignSpaceExplorer{}.optimize(req);
+  req.memoize = true;
+  const auto point = facade_explorer().optimize(req);
   accel::HeteroSvdConfig cfg;
   cfg.rows = rows;
   cfg.cols = cols;

@@ -7,22 +7,24 @@
 
 namespace hsvd::versal {
 
+namespace {
+// Spare shadow buffers kept per tile: a tile issues its DMA transfers one
+// at a time and each is resolved before the next, so a couple suffice.
+constexpr std::size_t kSpareBuffersPerTile = 2;
+}  // namespace
+
 AieArraySim::AieArraySim(const ArrayGeometry& geometry,
                          const DeviceResources& device)
-    : geometry_(geometry), device_(device) {
-  memories_.reserve(static_cast<std::size_t>(geometry_.tile_count()));
-  cores_.reserve(static_cast<std::size_t>(geometry_.tile_count()));
-  stream_ports_.reserve(static_cast<std::size_t>(geometry_.tile_count()));
-  dma_engines_.reserve(static_cast<std::size_t>(geometry_.tile_count()));
-  for (int i = 0; i < geometry_.tile_count(); ++i) {
-    memories_.emplace_back(device_.tile_memory_bytes());
-    cores_.emplace_back(cat("core", i));
-    stream_ports_.emplace_back(cat("stream", i));
-    dma_engines_.emplace_back(cat("dma", i));
-  }
-  tile_counters_ = std::make_unique<TileCounters[]>(
-      static_cast<std::size_t>(geometry_.tile_count()));
-}
+    : geometry_(geometry),
+      device_(device),
+      memories_(static_cast<std::size_t>(geometry_.tile_count()),
+                TileMemory(device_.tile_memory_bytes())),
+      cores_(static_cast<std::size_t>(geometry_.tile_count())),
+      stream_ports_(static_cast<std::size_t>(geometry_.tile_count())),
+      dma_engines_(static_cast<std::size_t>(geometry_.tile_count())),
+      tile_counters_(static_cast<std::size_t>(geometry_.tile_count())),
+      spare_buffers_(static_cast<std::size_t>(geometry_.tile_count()),
+                     BufferPool(kSpareBuffersPerTile)) {}
 
 void AieArraySim::attach_observer(obs::ObsContext* observer) {
   obs_ = observer;
@@ -49,7 +51,8 @@ void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
                    geometry_.shares_memory_module(src, dst),
                cat("tiles ", to_string(src), " -> ", to_string(dst),
                    " are not neighbour-accessible"));
-  stats_.neighbour_transfers.fetch_add(1, std::memory_order_relaxed);
+  TileCounters& tally = counters(dst);
+  ++tally.neighbour_transfers;
   std::uint64_t bytes = bytes_hint;
   if (obs_ != nullptr) obs_->metrics().add("sim.neighbour.transfers");
   if (src == dst) return;
@@ -61,18 +64,20 @@ void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
   }
   // The consuming tile reads the shared memory module: charge the link
   // bytes to the destination.
-  counters(dst).neighbour_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  tally.neighbour_bytes += bytes;
 }
 
 double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
                              BufferKey key, double ready,
                              std::uint64_t bytes_hint) {
-  stats_.dma_transfers.fetch_add(1, std::memory_order_relaxed);
+  const auto src_index = static_cast<std::size_t>(geometry_.index_of(src));
+  TileCounters& tally = tile_counters_[src_index];
+  ++tally.dma_transfers;
   bool drop = false;
   double stall = 0.0;
   if (faults_ != nullptr) stall = faults_->on_dma(src, &drop);
   if (stall > 0 || drop) {
-    counters(src).stall_seconds.fetch_add(stall, std::memory_order_relaxed);
+    tally.stall_seconds += stall;
     if (obs_ != nullptr) {
       obs_->metrics().add(drop ? "sim.fault.inject.dma_drop"
                                : "sim.fault.inject.dma_stall");
@@ -84,7 +89,7 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
       }
     }
   }
-  TileMemory& sm = memory(src);
+  TileMemory& sm = memories_[src_index];
   std::uint64_t bytes = bytes_hint;
   if (sm.contains(key)) {
     const std::vector<float>& data = sm.load(key);
@@ -94,15 +99,13 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
     // A dropped DMA consumes the engine's time but never lands the
     // shadow; a staged shadow can take an injected SEU.
     if (!drop) {
-      std::vector<float> shadow = data;
+      std::vector<float> shadow = spare_buffers_[src_index].copy_of(data);
       if (faults_ != nullptr) faults_->corrupt_payload(dst, shadow);
       memory(dst).store(key.shadow(), std::move(shadow));
     }
   }
-  stats_.dma_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  counters(src).dma_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  Timeline& engine =
-      dma_engines_[static_cast<std::size_t>(geometry_.index_of(src))];
+  tally.dma_bytes += bytes;
+  Timeline& engine = dma_engines_[src_index];
   const double duration =
       stall + dma_setup_seconds() + static_cast<double>(bytes) / dma_rate();
   const double done = engine.schedule(ready, duration);
@@ -122,16 +125,17 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
 double AieArraySim::stream_packet(const TileCoord& dst, Packet packet,
                                   double ready, bool store_payload,
                                   std::uint64_t payload_bytes_hint) {
-  stats_.stream_packets.fetch_add(1, std::memory_order_relaxed);
+  const auto dst_index = static_cast<std::size_t>(geometry_.index_of(dst));
+  TileCounters& tally = tile_counters_[dst_index];
   const std::uint64_t wire_bytes =
       packet.payload.empty() ? 16 + payload_bytes_hint : packet.bytes();
-  stats_.stream_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
-  counters(dst).stream_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+  ++tally.stream_packets;
+  tally.stream_bytes += wire_bytes;
   bool drop = false;
   double stall = 0.0;
   if (faults_ != nullptr) stall = faults_->on_stream(dst, &drop);
   if (stall > 0 || drop) {
-    counters(dst).stall_seconds.fetch_add(stall, std::memory_order_relaxed);
+    tally.stall_seconds += stall;
     if (obs_ != nullptr) {
       obs_->metrics().add(drop ? "sim.fault.inject.stream_drop"
                                : "sim.fault.inject.stream_stall");
@@ -145,12 +149,13 @@ double AieArraySim::stream_packet(const TileCoord& dst, Packet packet,
   }
   if (store_payload && !packet.payload.empty() && !drop) {
     if (faults_ != nullptr) faults_->corrupt_payload(dst, packet.payload);
-    memory(dst).store(BufferKey(packet.header.task, packet.header.column),
-                      std::move(packet.payload));
+    memories_[dst_index].store(
+        BufferKey(packet.header.task, packet.header.column),
+        std::move(packet.payload));
   }
   // Stream ports move 32 bits per AIE cycle.
   const double rate = 4.0 * device_.aie_clock_hz;
-  Timeline& port = stream_ports_[static_cast<std::size_t>(geometry_.index_of(dst))];
+  Timeline& port = stream_ports_[dst_index];
   const double duration = stall + static_cast<double>(wire_bytes) / rate;
   const double done = port.schedule(ready, duration);
   if (obs_ != nullptr) {
@@ -169,8 +174,8 @@ double AieArraySim::stream_packet(const TileCoord& dst, Packet packet,
 
 double AieArraySim::run_kernel(const TileCoord& tile, double ready,
                                double duration) {
-  stats_.kernel_invocations.fetch_add(1, std::memory_order_relaxed);
-  counters(tile).kernel_invocations.fetch_add(1, std::memory_order_relaxed);
+  const auto index = static_cast<std::size_t>(geometry_.index_of(tile));
+  ++tile_counters_[index].kernel_invocations;
   if (faults_ != nullptr && faults_->hang_core(tile)) {
     // The core never completes: report an unreachable completion time and
     // leave the timeline untouched so healthy tiles stay unperturbed.
@@ -183,7 +188,7 @@ double AieArraySim::run_kernel(const TileCoord& tile, double ready,
     }
     return std::numeric_limits<double>::infinity();
   }
-  const double done = core(tile).schedule(ready, duration);
+  const double done = cores_[index].schedule(ready, duration);
   if (obs_ != nullptr) {
     obs_->metrics().add("sim.kernel.invocations");
     obs_->metrics().observe("sim.kernel.cycles",
@@ -196,19 +201,23 @@ double AieArraySim::run_kernel(const TileCoord& tile, double ready,
   return done;
 }
 
-const ArrayStats& AieArraySim::stats() const {
-  stats_snapshot_.neighbour_transfers =
-      stats_.neighbour_transfers.load(std::memory_order_relaxed);
-  stats_snapshot_.dma_transfers =
-      stats_.dma_transfers.load(std::memory_order_relaxed);
-  stats_snapshot_.dma_bytes = stats_.dma_bytes.load(std::memory_order_relaxed);
-  stats_snapshot_.stream_packets =
-      stats_.stream_packets.load(std::memory_order_relaxed);
-  stats_snapshot_.stream_bytes =
-      stats_.stream_bytes.load(std::memory_order_relaxed);
-  stats_snapshot_.kernel_invocations =
-      stats_.kernel_invocations.load(std::memory_order_relaxed);
-  return stats_snapshot_;
+void AieArraySim::release(const TileCoord& tile, BufferKey key) {
+  const auto index = static_cast<std::size_t>(geometry_.index_of(tile));
+  TileMemory& mem = memories_[index];
+  if (mem.contains(key)) spare_buffers_[index].release(mem.take(key));
+}
+
+ArrayStats AieArraySim::stats() const {
+  ArrayStats total;
+  for (const TileCounters& c : tile_counters_) {
+    total.neighbour_transfers += c.neighbour_transfers;
+    total.dma_transfers += c.dma_transfers;
+    total.dma_bytes += c.dma_bytes;
+    total.stream_packets += c.stream_packets;
+    total.stream_bytes += c.stream_bytes;
+    total.kernel_invocations += c.kernel_invocations;
+  }
+  return total;
 }
 
 void AieArraySim::reset_time() {
@@ -254,17 +263,15 @@ UtilizationReport AieArraySim::utilization(double makespan) const {
       const TileCounters& c = tile_counters_[i];
       t.tile = coord;
       t.busy_cycles = cores_[i].busy_seconds() * hz;
-      t.stalled_cycles =
-          c.stall_seconds.load(std::memory_order_relaxed) * hz;
+      t.stalled_cycles = c.stall_seconds * hz;
       t.idle_cycles =
           std::max(0.0, makespan_cycles - t.busy_cycles - t.stalled_cycles);
       t.dma_busy_cycles = dma_engines_[i].busy_seconds() * hz;
       t.stream_busy_cycles = stream_ports_[i].busy_seconds() * hz;
-      t.kernel_invocations =
-          c.kernel_invocations.load(std::memory_order_relaxed);
-      t.neighbour_bytes = c.neighbour_bytes.load(std::memory_order_relaxed);
-      t.dma_bytes = c.dma_bytes.load(std::memory_order_relaxed);
-      t.stream_bytes = c.stream_bytes.load(std::memory_order_relaxed);
+      t.kernel_invocations = c.kernel_invocations;
+      t.neighbour_bytes = c.neighbour_bytes;
+      t.dma_bytes = c.dma_bytes;
+      t.stream_bytes = c.stream_bytes;
     }
   }
   return report;

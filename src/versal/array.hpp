@@ -7,7 +7,9 @@
 // buffer to the consumer by move (the "free copy" through a shared memory
 // module), a packet's payload is moved into the destination memory, and
 // DMA is the only transfer that copies -- into the destination's "#dma"
-// shadow slot, the twice-the-memory cost of the slow path.
+// shadow slot, the twice-the-memory cost of the slow path. The shadow is
+// copied into storage from the source tile's spare-buffer pool, which
+// release() refills when the consumer frees the original.
 //
 // Functional payloads are optional: when a transfer is issued without
 // data the simulator still performs all capacity accounting and timing,
@@ -15,10 +17,7 @@
 // once the iteration count is fixed).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -81,7 +80,13 @@ class AieArraySim {
   // Records a kernel run on the tile's core timeline.
   double run_kernel(const TileCoord& tile, double ready, double duration);
 
-  const ArrayStats& stats() const;
+  // Erases `key` from `tile`'s memory (no-op when absent) and keeps its
+  // storage in the tile's spare-buffer pool for the tile's next DMA
+  // shadow copy.
+  void release(const TileCoord& tile, BufferKey key);
+
+  // Totals of the per-tile counters, summed on each call.
+  ArrayStats stats() const;
   void reset_time();
 
   // Aggregate peak memory over all tiles (bytes) -- resource report.
@@ -93,7 +98,7 @@ class AieArraySim {
 
   // Per-tile busy/stall/idle cycle tallies and link-byte counters for a
   // run whose critical path ended at `makespan` seconds. Reads the
-  // timelines and relaxed counters only -- never perturbs the schedule.
+  // timelines and per-tile counters only -- never perturbs the schedule.
   // Aggregates match the scalar accessors exactly (core_utilization,
   // stats().dma_bytes, ...).
   UtilizationReport utilization(double makespan) const;
@@ -130,34 +135,30 @@ class AieArraySim {
   std::vector<Timeline> cores_;
   std::vector<Timeline> stream_ports_;
   std::vector<Timeline> dma_engines_;  // one per tile (mm2s side)
-  // Counters are atomic so that task slots touching disjoint tiles can
-  // execute concurrently (the accelerator's parallel batch engine); sums
-  // are order-independent, so totals match the sequential run exactly.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> neighbour_transfers{0};
-    std::atomic<std::uint64_t> dma_transfers{0};
-    std::atomic<std::uint64_t> dma_bytes{0};
-    std::atomic<std::uint64_t> stream_packets{0};
-    std::atomic<std::uint64_t> stream_bytes{0};
-    std::atomic<std::uint64_t> kernel_invocations{0};
-  };
-  AtomicStats stats_;
-  // Per-tile tallies behind the utilization report. Same atomicity
-  // contract as AtomicStats: relaxed adds from concurrent task slots,
-  // order-independent sums. Held in a fixed-size array because atomics
-  // are not movable.
+  // Per-tile event tallies behind stats() and the utilization report.
+  // Plain counters: every event is charged to one tile -- the kernel's
+  // core, a neighbour move's or packet's destination, a DMA's source --
+  // and each tile is written only by the task slot whose placement owns
+  // it. The accelerator's batch engine runs one slot's chain on one host
+  // thread at a time, so no counter is ever written concurrently, and the
+  // sums read after the chains join are exact and order-independent.
   struct TileCounters {
-    std::atomic<std::uint64_t> kernel_invocations{0};
-    std::atomic<std::uint64_t> neighbour_bytes{0};
-    std::atomic<std::uint64_t> dma_bytes{0};
-    std::atomic<std::uint64_t> stream_bytes{0};
-    std::atomic<double> stall_seconds{0.0};
+    std::uint64_t kernel_invocations = 0;
+    std::uint64_t neighbour_transfers = 0;
+    std::uint64_t neighbour_bytes = 0;
+    std::uint64_t dma_transfers = 0;
+    std::uint64_t dma_bytes = 0;
+    std::uint64_t stream_packets = 0;
+    std::uint64_t stream_bytes = 0;
+    double stall_seconds = 0.0;
   };
   TileCounters& counters(const TileCoord& t) {
     return tile_counters_[static_cast<std::size_t>(geometry_.index_of(t))];
   }
-  std::unique_ptr<TileCounters[]> tile_counters_;
-  mutable ArrayStats stats_snapshot_;  // materialized by stats()
+  std::vector<TileCounters> tile_counters_;
+  // Per tile: storage released by consumers of the tile's DMA transfers,
+  // reused for its next shadow copy. Owned like the counters above.
+  std::vector<BufferPool> spare_buffers_;
   FaultInjector* faults_ = nullptr;
   obs::ObsContext* obs_ = nullptr;
 };

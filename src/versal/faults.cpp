@@ -53,26 +53,52 @@ std::uint64_t buffer_checksum(std::span<const float> data) {
 
 std::uint64_t fabric_checksum(std::span<const float> data) {
   constexpr std::uint64_t kPrime = 0x9e3779b97f4a7c15ull;  // odd
-  // Seeding with the length makes a truncated buffer mismatch too.
-  std::uint64_t h = 1469598103934665603ull ^ data.size();
-  const auto step = [&h](std::uint64_t word) {
-    // Odd multiply and xorshift are both invertible; the shift carries
-    // high-bit differences back into the low bits.
+  // Odd multiply and xorshift are both invertible; the shift carries
+  // high-bit differences back into the low bits.
+  const auto step = [](std::uint64_t h, std::uint64_t word) {
     h = (h ^ word) * kPrime;
-    h ^= h >> 32;
+    return h ^ (h >> 32);
   };
-  std::size_t i = 0;
-  for (; i + 2 <= data.size(); i += 2) {
+  const float* p = data.data();
+  const auto word_at = [p](std::size_t w) {
     std::uint64_t word;
-    std::memcpy(&word, &data[i], sizeof(word));
-    step(word);
+    std::memcpy(&word, p + 2 * w, sizeof(word));
+    return word;
+  };
+  // Seeding with the length makes a truncated buffer mismatch too; each
+  // lane starts from its own seed so words trading lanes still differ.
+  const std::uint64_t seed = 1469598103934665603ull ^ data.size();
+  // Word w (two floats) feeds lane w % 4: four independent multiply
+  // chains the core overlaps, instead of one serial chain. The lanes are
+  // named scalars so they stay in registers.
+  std::uint64_t l0 = seed;
+  std::uint64_t l1 = seed + kPrime;
+  std::uint64_t l2 = seed + 2 * kPrime;
+  std::uint64_t l3 = seed + 3 * kPrime;
+  const std::size_t words = data.size() / 2;
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    l0 = step(l0, word_at(w));
+    l1 = step(l1, word_at(w + 1));
+    l2 = step(l2, word_at(w + 2));
+    l3 = step(l3, word_at(w + 3));
   }
-  if (i < data.size()) {
+  if (w < words) l0 = step(l0, word_at(w));
+  if (w + 1 < words) l1 = step(l1, word_at(w + 1));
+  if (w + 2 < words) l2 = step(l2, word_at(w + 2));
+  std::uint64_t h = seed;
+  if (data.size() % 2 != 0) {
     std::uint32_t word;
-    std::memcpy(&word, &data[i], sizeof(word));
-    step(word);
+    std::memcpy(&word, p + data.size() - 1, sizeof(word));
+    h = step(h, word);
   }
-  return h;
+  // Folding each lane in through the same bijective step keeps every
+  // single-word change visible: it alters exactly one lane, and the fold
+  // is injective in each lane with the others fixed.
+  h = step(h, l0);
+  h = step(h, l1);
+  h = step(h, l2);
+  return step(h, l3);
 }
 
 namespace {

@@ -84,9 +84,11 @@ std::uint64_t buffer_checksum(std::span<const float> data);
 
 // The integrity checksum the PL sender stamps on outgoing columns and the
 // Rx boundary recomputes. Word-wise: one multiply per 64-bit word (two
-// floats). Each step is a bijection of the running state for a fixed
-// word, so any change confined to one word -- every single-bit flip --
-// always changes the result.
+// floats), spread over four independent lanes folded together at the
+// end. Each step is a bijection of its lane's state for a fixed word, so
+// any change confined to one word -- every single-bit flip -- always
+// changes the result; the length seeds every lane, so truncation does
+// too.
 std::uint64_t fabric_checksum(std::span<const float> data);
 
 class FaultInjector {

@@ -74,4 +74,20 @@ std::size_t TileMemory::erase_if(const std::function<bool(BufferKey)>& pred) {
   return removed;
 }
 
+std::vector<float> BufferPool::copy_of(std::span<const float> values) {
+  std::vector<float> out;
+  if (!free_.empty()) {
+    out = std::move(free_.back());
+    free_.pop_back();
+  }
+  out.assign(values.begin(), values.end());
+  return out;
+}
+
+void BufferPool::release(std::vector<float> buffer) {
+  if (buffer.capacity() != 0 && free_.size() < capacity_) {
+    free_.push_back(std::move(buffer));
+  }
+}
+
 }  // namespace hsvd::versal

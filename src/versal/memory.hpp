@@ -9,10 +9,16 @@
 // copies one. Allocation is checked against the 4 x 8 KB budget so
 // placement bugs that would not fit on silicon fail loudly in
 // simulation. Peak usage is tracked for the resource reports.
+//
+// A BufferPool keeps released column buffers for reuse, so the copies the
+// data plane does make (the PL sender's Tx payload, a DMA shadow) land in
+// storage an earlier transfer freed instead of a fresh allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +102,30 @@ class TileMemory {
   std::uint64_t used_ = 0;
   std::uint64_t peak_ = 0;
   std::vector<Slot> slots_;
+};
+
+// A bounded free list of released column buffers. Unsynchronized by
+// design: each pool has one owner (a tile, or a task slot's PL side) whose
+// operations run on one host thread at a time -- the same ownership the
+// tile memories and timelines rely on -- so parallel slot chains never
+// share a pool and need no lock.
+class BufferPool {
+ public:
+  explicit BufferPool(std::size_t capacity) : capacity_(capacity) {}
+
+  // A buffer holding a copy of `values`, in released storage when the
+  // pool has some.
+  std::vector<float> copy_of(std::span<const float> values);
+
+  // Keeps `buffer`'s storage for a later copy_of; dropped (freed) when it
+  // has none or the pool already holds `capacity` buffers.
+  void release(std::vector<float> buffer);
+
+  std::size_t size() const { return free_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::vector<std::vector<float>> free_;
 };
 
 }  // namespace hsvd::versal

@@ -7,6 +7,8 @@
 // resource's previous completion) and accumulates busy time for the
 // utilization reports (Fig. 9). This is the standard modeling level for
 // pipelined accelerators where each unit processes requests in order.
+// Timelines are unnamed (the array simulator keeps three per tile and
+// addresses them by tile index); a Channel's name labels its trace track.
 #pragma once
 
 #include <algorithm>
@@ -16,9 +18,6 @@ namespace hsvd::versal {
 
 class Timeline {
  public:
-  Timeline() = default;
-  explicit Timeline(std::string name) : name_(std::move(name)) {}
-
   // Schedules an operation of `duration` seconds that cannot start before
   // `ready`. Returns the completion time.
   double schedule(double ready, double duration) {
@@ -32,7 +31,6 @@ class Timeline {
   double next_free() const { return next_free_; }
   double busy_seconds() const { return busy_; }
   double last_start() const { return last_start_; }
-  const std::string& name() const { return name_; }
 
   void reset() {
     next_free_ = 0;
@@ -41,7 +39,6 @@ class Timeline {
   }
 
  private:
-  std::string name_;
   double next_free_ = 0;
   double busy_ = 0;
   double last_start_ = 0;
@@ -52,7 +49,7 @@ class Timeline {
 class Channel {
  public:
   Channel(std::string name, double bytes_per_second, double overhead_s = 0.0)
-      : timeline_(std::move(name)),
+      : name_(std::move(name)),
         rate_(bytes_per_second),
         overhead_(overhead_s) {}
 
@@ -62,6 +59,7 @@ class Channel {
 
   double transfer_duration(double bytes) const { return overhead_ + bytes / rate_; }
 
+  const std::string& name() const { return name_; }
   Timeline& timeline() { return timeline_; }
   const Timeline& timeline() const { return timeline_; }
   double rate() const { return rate_; }
@@ -73,6 +71,7 @@ class Channel {
   }
 
  private:
+  std::string name_;
   Timeline timeline_;
   double rate_;
   double overhead_;

@@ -1,13 +1,21 @@
 // Tests for the public API facade (heterosvd.hpp): svd(), svd_batch(),
-// derive_v(), wide-matrix handling, option plumbing.
+// derive_v(), wide-matrix handling, option plumbing, and the per-shape
+// DSE plan memo.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/format.hpp"
 #include "common/rng.hpp"
+#include "dse/explorer.hpp"
 #include "heterosvd.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/metrics.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/reference_svd.hpp"
+#include "obs/obs.hpp"
 
 namespace hsvd {
 namespace {
@@ -134,6 +142,100 @@ TEST(Facade, DeriveVLeavesZeroSigmaColumnsZero) {
   std::vector<float> sigma = {2.0f, 0.0f};
   auto v = derive_v(a, u, sigma);
   for (std::size_t j = 0; j < 4; ++j) EXPECT_FLOAT_EQ(v(j, 1), 0.0f);
+}
+
+// ---- per-shape plan memo ---------------------------------------------
+
+std::uint64_t counter(const obs::ObsContext& obs, const std::string& name) {
+  const auto snap = obs.metrics().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(FacadePlanMemo, PlannedConfigMatchesAFreshExplorer) {
+  // The facade's memoized plan must be the very design point a fresh,
+  // memo-less explorer picks -- for both objectives and for a reduced
+  // device, on the first (planning) and the second (memo) call alike.
+  versal::DeviceResources reduced;
+  reduced.aie_cols = 24;
+  reduced.total_aie = 8 * 24;
+  reduced.total_uram = 120;
+  reduced.total_plio = 60;
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {16, 16}, {40, 24}, {64, 64}, {96, 48}, {128, 128}, {256, 256}};
+  for (const auto& device : {versal::vck190(), reduced}) {
+    for (const auto& [rows, cols] : shapes) {
+      for (const int batch : {1, 16}) {
+        SvdOptions options;
+        options.device = device;
+        dse::DseRequest req;
+        req.rows = rows;
+        req.cols = cols;
+        req.batch = batch;
+        req.objective = batch > 1 ? dse::Objective::kThroughput
+                                  : dse::Objective::kLatency;
+        req.device = device;
+        const dse::DesignPoint fresh = dse::DesignSpaceExplorer{}.optimize(req);
+        for (int call = 0; call < 2; ++call) {
+          const accel::HeteroSvdConfig cfg =
+              planned_config(rows, cols, batch, options);
+          const std::string where =
+              cat(rows, "x", cols, " batch ", batch, " aie_cols ",
+                  device.aie_cols, " call ", call);
+          EXPECT_EQ(cfg.p_eng, fresh.p_eng) << where;
+          EXPECT_EQ(cfg.p_task, fresh.p_task) << where;
+          EXPECT_EQ(cfg.pl_frequency_hz, fresh.frequency_hz) << where;
+          EXPECT_EQ(cfg.device.aie_cols, device.aie_cols) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(FacadePlanMemo, SecondSvdOfAShapeIsPlannedFromTheMemo) {
+  const auto a = random_matrix(36, 20, 1501);
+  SvdOptions first;
+  obs::ObsContext first_obs;
+  first.observer = &first_obs;
+  const Svd r1 = svd(a, first);
+  EXPECT_GT(counter(first_obs, "dse.placement_calls"), 0u);
+  EXPECT_EQ(counter(first_obs, "dse.enumerate.memo_hit"), 0u);
+
+  SvdOptions second;
+  obs::ObsContext second_obs;
+  second.observer = &second_obs;
+  const Svd r2 = svd(a, second);
+  EXPECT_EQ(counter(second_obs, "dse.enumerate.memo_hit"), 1u);
+  EXPECT_EQ(counter(second_obs, "dse.placement_calls"), 0u);
+  // Same plan, same bits.
+  EXPECT_EQ(r2.sigma, r1.sigma);
+  EXPECT_EQ(r2.accelerator_seconds, r1.accelerator_seconds);
+}
+
+TEST(FacadePlanMemo, ChangedDeviceMissesTheMemo) {
+  SvdOptions options;
+  (void)planned_config(44, 28, 1, options);
+  // Every budget the DSE reads is part of the memo key, the URAM/BRAM
+  // block sizes included: a changed device is planned afresh.
+  const auto plans_afresh = [](const SvdOptions& changed) {
+    SvdOptions observed = changed;
+    obs::ObsContext obs;
+    observed.observer = &obs;
+    (void)planned_config(44, 28, 1, observed);
+    return counter(obs, "dse.enumerate.memo_hit") == 0 &&
+           counter(obs, "dse.placement_calls") > 0;
+  };
+  SvdOptions fewer_urams = options;
+  fewer_urams.device.total_uram = 97;
+  EXPECT_TRUE(plans_afresh(fewer_urams));
+  SvdOptions smaller_urams = options;
+  smaller_urams.device.uram_bytes /= 2;
+  EXPECT_TRUE(plans_afresh(smaller_urams));
+  SvdOptions smaller_brams = options;
+  smaller_brams.device.bram_bytes /= 2;
+  EXPECT_TRUE(plans_afresh(smaller_brams));
+  // The unchanged device still hits.
+  EXPECT_FALSE(plans_afresh(options));
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 // the AieArraySim hooks that consult it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "versal/array.hpp"
 #include "versal/faults.hpp"
@@ -41,29 +44,54 @@ TEST(FaultChecksum, BufferChecksumKnownAnswer) {
 }
 
 TEST(FaultChecksum, FabricChecksumDetectsEverySingleBitFlip) {
-  std::vector<float> column = ramp(64);
-  const std::uint64_t clean = fabric_checksum(column);
-  EXPECT_EQ(clean, fabric_checksum(ramp(64)));  // deterministic
-  int missed = 0;
-  for (std::size_t word = 0; word < column.size(); ++word) {
-    for (int bit = 0; bit < 32; ++bit) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &column[word], sizeof(bits));
-      bits ^= 1u << bit;
-      std::memcpy(&column[word], &bits, sizeof(bits));
-      if (fabric_checksum(column) == clean) ++missed;
-      bits ^= 1u << bit;
-      std::memcpy(&column[word], &bits, sizeof(bits));
+  // Lengths 0..33 cover every split of a column into four-word lane
+  // blocks, leftover words and an odd trailing float; 64 is a full
+  // column of the default shapes. ramp() values are distinct, so every
+  // swap below really changes the buffer.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 33; ++n) lengths.push_back(n);
+  lengths.push_back(64);
+  for (const std::size_t n : lengths) {
+    std::vector<float> column = ramp(n);
+    const std::uint64_t clean = fabric_checksum(column);
+    EXPECT_EQ(clean, fabric_checksum(ramp(n))) << "n=" << n;  // deterministic
+    int missed = 0;
+    for (std::size_t word = 0; word < n; ++word) {
+      for (int bit = 0; bit < 32; ++bit) {
+        std::uint32_t bits;
+        std::memcpy(&bits, &column[word], sizeof(bits));
+        bits ^= 1u << bit;
+        std::memcpy(&column[word], &bits, sizeof(bits));
+        if (fabric_checksum(column) == clean) ++missed;
+        bits ^= 1u << bit;
+        std::memcpy(&column[word], &bits, sizeof(bits));
+      }
+    }
+    EXPECT_EQ(missed, 0) << "n=" << n;
+    // Adjacent floats trading places, and adjacent 64-bit words (float
+    // pairs, which land in neighbouring lanes) trading places.
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      std::swap(column[i], column[i + 1]);
+      EXPECT_NE(fabric_checksum(column), clean) << "n=" << n << " swap " << i;
+      std::swap(column[i], column[i + 1]);
+    }
+    const auto swap_words = [&column](std::size_t i) {
+      const auto at = column.begin() + static_cast<std::ptrdiff_t>(i);
+      std::swap_ranges(at, at + 2, at + 2);
+    };
+    for (std::size_t i = 0; i + 3 < n; i += 2) {
+      swap_words(i);
+      EXPECT_NE(fabric_checksum(column), clean)
+          << "n=" << n << " word swap " << i / 2;
+      swap_words(i);
+    }
+    // A truncated buffer (one float short) mismatches too.
+    if (n > 0) {
+      EXPECT_NE(fabric_checksum(std::span<const float>(column).first(n - 1)),
+                clean)
+          << "n=" << n;
     }
   }
-  EXPECT_EQ(missed, 0);
-  // An odd-length buffer's trailing word and a truncation are covered too.
-  const std::vector<float> odd = ramp(5);
-  std::vector<float> flipped = odd;
-  flipped[4] = -flipped[4];
-  EXPECT_NE(fabric_checksum(odd), fabric_checksum(flipped));
-  EXPECT_NE(fabric_checksum(odd),
-            fabric_checksum(std::span<const float>(odd).first(4)));
 }
 
 TEST(FaultKinds, NamesAndCorruptionClass) {

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "accel/accelerator.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dse/explorer.hpp"
@@ -229,6 +230,53 @@ TEST(ParallelBatch, SixteenTasksBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelBatch, ArrayStatsAndUtilizationIdenticalAcrossThreadCounts) {
+  // The simulator's per-tile counters are plain integers written only by
+  // the slot chain that owns the tile: concurrent chains must still sum
+  // to exactly the sequential totals, tile by tile.
+  std::vector<linalg::MatrixF> batch;
+  for (int i = 0; i < 16; ++i) batch.push_back(random_matrix(24, 12, 700 + i));
+  accel::HeteroSvdConfig cfg;
+  cfg.rows = 24;
+  cfg.cols = 12;
+  cfg.p_eng = 2;
+  cfg.p_task = 4;  // = NoC DDRMC ports: the parallel chain path engages
+  cfg.iterations = 8;
+
+  const auto run_with = [&](int threads) {
+    accel::HeteroSvdConfig c = cfg;
+    c.host_threads = threads;
+    accel::HeteroSvdAccelerator acc(c);
+    return acc.run(batch);
+  };
+  const accel::RunResult seq = run_with(1);
+  const accel::RunResult par = run_with(4);
+
+  EXPECT_GT(seq.stats.kernel_invocations, 0u);
+  EXPECT_GT(seq.stats.dma_transfers, 0u);
+  EXPECT_EQ(par.stats.neighbour_transfers, seq.stats.neighbour_transfers);
+  EXPECT_EQ(par.stats.dma_transfers, seq.stats.dma_transfers);
+  EXPECT_EQ(par.stats.dma_bytes, seq.stats.dma_bytes);
+  EXPECT_EQ(par.stats.stream_packets, seq.stats.stream_packets);
+  EXPECT_EQ(par.stats.stream_bytes, seq.stats.stream_bytes);
+  EXPECT_EQ(par.stats.kernel_invocations, seq.stats.kernel_invocations);
+
+  ASSERT_EQ(par.utilization.tiles.size(), seq.utilization.tiles.size());
+  for (std::size_t i = 0; i < seq.utilization.tiles.size(); ++i) {
+    const auto& a = seq.utilization.tiles[i];
+    const auto& b = par.utilization.tiles[i];
+    EXPECT_EQ(b.kernel_invocations, a.kernel_invocations) << "tile " << i;
+    EXPECT_EQ(b.neighbour_bytes, a.neighbour_bytes) << "tile " << i;
+    EXPECT_EQ(b.dma_bytes, a.dma_bytes) << "tile " << i;
+    EXPECT_EQ(b.stream_bytes, a.stream_bytes) << "tile " << i;
+    EXPECT_EQ(b.busy_cycles, a.busy_cycles) << "tile " << i;
+    EXPECT_EQ(b.stalled_cycles, a.stalled_cycles) << "tile " << i;
+    EXPECT_EQ(b.idle_cycles, a.idle_cycles) << "tile " << i;
+    EXPECT_EQ(b.dma_busy_cycles, a.dma_busy_cycles) << "tile " << i;
+    EXPECT_EQ(b.stream_busy_cycles, a.stream_busy_cycles) << "tile " << i;
+  }
+}
+
 TEST(ParallelBatch, OversubscribedSlotsStaySequentialAndDeterministic) {
   // P_task > DDRMC ports: slots share NoC ports, so the engine must fall
   // back to the legacy interleaved order regardless of the thread count.
@@ -298,6 +346,30 @@ TEST(DseMemo, PlacementComputedAtMostOncePerPoint) {
   // Re-running resets the accounting rather than accumulating.
   (void)explorer.enumerate(req);
   EXPECT_EQ(explorer.last_stats().placement_calls, stats.placement_calls);
+}
+
+TEST(DseMemo, CrossCallMemoIsBounded) {
+  // The memo holds at most 128 requests; the next distinct one starts it
+  // over, so a shape planned before then misses once and plans again.
+  dse::DesignSpaceExplorer explorer;
+  dse::DseRequest req;
+  req.rows = req.cols = 4;
+  req.threads = 1;
+  req.memoize = true;
+  const auto hits = [&] { return explorer.last_stats().enumerate_memo_hits; };
+  for (int iterations = 1; iterations <= 128; ++iterations) {
+    req.iterations = iterations;
+    (void)explorer.enumerate(req);
+  }
+  req.iterations = 1;
+  (void)explorer.enumerate(req);
+  EXPECT_EQ(hits(), 1u);  // all 128 still memoized
+  req.iterations = 129;
+  (void)explorer.enumerate(req);  // full: starts over with this one
+  req.iterations = 1;
+  (void)explorer.enumerate(req);
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_GT(explorer.last_stats().placement_calls, 0u);
 }
 
 TEST(DseMemo, EnumerationThreadCountInvariant) {

@@ -125,8 +125,29 @@ TEST(BufferKey, LiveAndShadowKeysAreDistinct) {
   EXPECT_TRUE(mem.contains(live));
 }
 
+TEST(TileMemory, BufferPoolReusesReleasedStorageUpToItsBound) {
+  BufferPool pool(2);
+  const std::vector<float> column = {1, 2, 3, 4};
+  std::vector<float> a = pool.copy_of(column);  // empty pool: allocates
+  EXPECT_EQ(a, column);
+  const float* storage = a.data();
+  pool.release(std::move(a));
+  EXPECT_EQ(pool.size(), 1u);
+  const std::vector<float> next = {5, 6, 7};
+  const std::vector<float> b = pool.copy_of(next);
+  EXPECT_EQ(b.data(), storage);  // the released buffer, refilled
+  EXPECT_EQ(b, next);
+  EXPECT_EQ(pool.size(), 0u);
+  // Bounded: releases beyond the capacity (and empty buffers) are freed.
+  pool.release(std::vector<float>(8));
+  pool.release(std::vector<float>(8));
+  pool.release(std::vector<float>(8));
+  pool.release(std::vector<float>{});
+  EXPECT_EQ(pool.size(), 2u);
+}
+
 TEST(Timeline, SerializesOperations) {
-  Timeline t("x");
+  Timeline t;
   EXPECT_DOUBLE_EQ(t.schedule(0.0, 2.0), 2.0);
   // Ready earlier than the resource frees: starts at 2.
   EXPECT_DOUBLE_EQ(t.schedule(1.0, 1.0), 3.0);
@@ -187,6 +208,26 @@ TEST_F(ArraySimTest, DmaMoveDuplicatesBuffer) {
   EXPECT_TRUE(sim_.memory({5, 5}).contains(kA.shadow()));
   EXPECT_EQ(sim_.stats().dma_transfers, 1u);
   EXPECT_EQ(sim_.stats().dma_bytes, 16u);
+}
+
+TEST_F(ArraySimTest, DmaShadowReusesTheReleasedOriginal) {
+  // Resolving a DMA frees the producer's original into the source tile's
+  // spare pool; the tile's next shadow is copied into that storage.
+  const BufferKey kB(0, 9);
+  sim_.memory({0, 0}).store(kA, {1, 2, 3, 4});
+  sim_.memory({0, 0}).store(kB, {5, 6, 7, 8});
+  const float* original = sim_.memory({0, 0}).load(kA).data();
+  sim_.dma_move({0, 0}, {5, 5}, kA, 0.0);
+  sim_.release({0, 0}, kA);
+  EXPECT_FALSE(sim_.memory({0, 0}).contains(kA));
+  EXPECT_EQ(sim_.memory({0, 0}).used_bytes(), 16u);  // kB only
+  sim_.release({0, 0}, kA);  // absent: no-op
+  sim_.dma_move({0, 0}, {5, 5}, kB, 0.0);
+  const std::vector<float>& shadow = sim_.memory({5, 5}).load(kB.shadow());
+  EXPECT_EQ(shadow.data(), original);
+  EXPECT_EQ(shadow, (std::vector<float>{5, 6, 7, 8}));
+  EXPECT_EQ(sim_.memory({5, 5}).load(kA.shadow()),
+            (std::vector<float>{1, 2, 3, 4}));
 }
 
 TEST_F(ArraySimTest, DmaChargesSetupPlusTransfer) {
