@@ -1,8 +1,7 @@
 // Machine-readable micro-benchmark emitter.
 //
 // Writes BENCH_micro.json (path overridable via argv[1]) with the hot-path
-// kernel costs (ns/op), the fabric integrity checksum's cost per column,
-// the Hestenes sweep rate, and the 16-task batch
+// kernel costs (ns/op), the Hestenes sweep rate, and the 16-task batch
 // wall-clock at 1 thread vs all hardware threads -- the perf trajectory
 // future PRs compare against. Timers are hand-rolled steady_clock loops so
 // the numbers do not depend on the google-benchmark harness.
@@ -125,16 +124,6 @@ int main(int argc, char** argv) {
     simd::set_active_for_testing(prev);
   }
 
-  // ---- fabric checksum ns per column -------------------------------------
-  // The Tx/Rx integrity check hashes every column twice per block pair.
-  volatile std::uint64_t sink64 = 0;
-  for (const std::size_t n : {std::size_t{256}, std::size_t{1024}}) {
-    const auto column = random_matrix(n, 1, 14);
-    const std::span<const float> data = column.col(0);
-    json.number("fabric_checksum_n" + std::to_string(n) + "_ns",
-                time_ns([&] { sink64 = sink64 + versal::fabric_checksum(data); }));
-  }
-
   // ---- Hestenes sweep rate ------------------------------------------------
   const auto a = random_matrix(128, 64, 13);
   jacobi::HestenesOptions hopts;
@@ -222,8 +211,7 @@ int main(int argc, char** argv) {
   std::fwrite(text.data(), 1, text.size(), f);
   std::fclose(f);
   std::printf("%s", text.c_str());
-  std::printf("wrote %s (sink %.3f, %llu)\n", path.c_str(),
-              static_cast<double>(sinkf),
-              static_cast<unsigned long long>(sink64 & 0xff));
+  std::printf("wrote %s (sink %.3f)\n", path.c_str(),
+              static_cast<double>(sinkf));
   return 0;
 }

@@ -100,10 +100,8 @@ void HeteroSvdAccelerator::rebuild() {
         versal::Channel(cat("nrx.", t), plio_rate_rx),
         nullptr,
         nullptr,
-        versal::BufferPool(static_cast<std::size_t>(2 * config_.p_eng)),
         std::vector<int>(static_cast<std::size_t>(2 * config_.p_eng)),
-        std::vector<double>(static_cast<std::size_t>(2 * config_.p_eng)),
-        std::vector<std::uint64_t>(static_cast<std::size_t>(2 * config_.p_eng))});
+        std::vector<double>(static_cast<std::size_t>(2 * config_.p_eng))});
     // The dynamic-forwarding rule of section III-C: dest_id e routes to
     // engine e of the slot's first orth-layer.
     versal::ForwardingTable forwarding;
@@ -232,24 +230,19 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
     global[static_cast<std::size_t>(i)] = bu * k + i;
     global[static_cast<std::size_t>(k + i)] = bv * k + i;
   }
-  // Every Tx below sets its column's arrival; the functional ones also
-  // stamp the checksum the Rx boundary recomputes to catch in-fabric
-  // corruption.
+  // Every Tx below sets its column's arrival and gives the column a fresh
+  // provenance stamp, first_stamp + c; the Rx boundary checks the stamp
+  // it drains against it to catch in-fabric corruption.
   std::vector<double>& arrival = ch.arrival;
-  std::vector<std::uint64_t>& sent_crc = ch.sent_crc;
+  const std::uint64_t first_stamp = ch.next_stamp;
+  ch.next_stamp += static_cast<std::uint64_t>(2 * k);
   for (int c = 0; c < 2 * k; ++c) {
-    std::vector<float> payload;
-    if (functional) {
-      payload = ch.column_buffers.copy_of(
-          b->col(static_cast<std::size_t>(global[static_cast<std::size_t>(c)])));
-      sent_crc[static_cast<std::size_t>(c)] =
-          versal::fabric_checksum(payload);
-    }
+    const versal::Buffer column{m * sizeof(float),
+                                first_stamp + static_cast<std::uint64_t>(c)};
     arrival[static_cast<std::size_t>(c)] = ch.sender->send_column(
         c < k ? 0 : 1, routes.tx_dest[static_cast<std::size_t>(c)],
         static_cast<std::uint32_t>(global[static_cast<std::size_t>(c)]),
-        static_cast<std::uint32_t>(task_id), launch, std::move(payload),
-        static_cast<std::uint64_t>(col_bytes));
+        static_cast<std::uint32_t>(task_id), launch, column, functional);
   }
 
   // ---- Orthogonalization through the layer pipeline -------------
@@ -310,9 +303,8 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
               static_cast<std::uint64_t>(col_bytes));
           arrival[static_cast<std::size_t>(mv.column)] = done;
           if (functional) {
-            // Resolve the DMA shadow: the consumer's copy becomes
-            // the live buffer, the producer's original is released
-            // (its storage backs the source tile's next shadow).
+            // Resolve the DMA shadow: the consumer's copy becomes the
+            // live buffer and the producer's original is erased.
             auto& dst_mem = array_->memory(mv.dst);
             if (!dst_mem.contains(key.shadow())) {
               throw FaultDetected(
@@ -320,9 +312,9 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                       versal::to_string(mv.src), " lost its payload"),
                   mv.src.row, mv.src.col, done);
             }
-            std::vector<float> data = dst_mem.take(key.shadow());
-            array_->release(mv.src, key);
-            dst_mem.store(key, std::move(data));
+            const versal::Buffer shadow = dst_mem.take(key.shadow());
+            array_->memory(mv.src).erase(key);
+            dst_mem.store(key, shadow);
           }
         }
       }
@@ -346,13 +338,9 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
                             tile.row, tile.col, done);
       }
       // Rx boundary integrity check: the fabric only routed this
-      // buffer, so its checksum must still match what the sender
-      // stamped; a mismatch is an in-fabric SEU. The drained buffer
-      // backs a later Tx payload of this slot.
-      std::vector<float> drained = mem.take(key);
-      const std::uint64_t crc = versal::fabric_checksum(drained);
-      ch.column_buffers.release(std::move(drained));
-      if (crc != sent_crc[static_cast<std::size_t>(c)]) {
+      // buffer, so its stamp must still be the one the sender issued; a
+      // mismatch is an in-fabric SEU.
+      if (mem.take(key).stamp != first_stamp + static_cast<std::uint64_t>(c)) {
         throw FaultDetected(cat("checksum mismatch on ", versal::to_string(key),
                                 " at tile ", versal::to_string(tile),
                                 " (corrupted in the fabric)"),

@@ -3,11 +3,12 @@
 //
 // One instance owns an AIE array simulator, a placement, per-task PLIO
 // channels and the classified dataflow. run() executes a batch of
-// matrices functionally (real arithmetic flows through the simulated
-// tiles, so routing bugs corrupt results and are caught by tests);
-// estimate() executes the identical control/timing path without payloads
-// for large problem sizes (the paper fixes the iteration count in its
-// comparisons, so timing is data-independent).
+// matrices functionally (the kernels compute on the host matrix while
+// stamped column tokens route through the simulated tiles, so routing
+// bugs and in-fabric corruption trip detection points); estimate()
+// executes the identical control/timing path without tokens for large
+// problem sizes (the paper fixes the iteration count in its comparisons,
+// so timing is data-independent).
 #pragma once
 
 #include <memory>
@@ -222,11 +223,10 @@ class HeteroSvdAccelerator {
   std::vector<std::vector<std::pair<int, int>>> block_rounds_;
   // Per task slot: 2 Tx + 2 Rx orth channels, 1 Tx + 1 Rx norm channel
   // (6 PLIOs, Table I), plus the PL modules of Fig. 2 wired to them. The
-  // slot's chain also owns (so nothing here is synchronized) the column
-  // buffers Rx drained, reused by its next Tx payloads, and a block
-  // pair's working state: per local column, its global index, arrival
-  // time and Tx checksum, sized 2 * P_eng once and overwritten by every
-  // pair.
+  // slot's chain also owns (so nothing here is synchronized) the counter
+  // its Tx stamps are drawn from and a block pair's working state: per
+  // local column, its global index and arrival time, sized 2 * P_eng once
+  // and overwritten by every pair.
   struct SlotChannels {
     versal::Channel tx[2];
     versal::Channel rx[2];
@@ -234,10 +234,9 @@ class HeteroSvdAccelerator {
     versal::Channel norm_rx;
     std::unique_ptr<Sender> sender;
     std::unique_ptr<Receiver> receiver;
-    versal::BufferPool column_buffers;
     std::vector<int> global;
     std::vector<double> arrival;
-    std::vector<std::uint64_t> sent_crc;
+    std::uint64_t next_stamp = 0;
   };
   std::vector<std::unique_ptr<SlotChannels>> channels_;
   versal::NocModel noc_;

@@ -49,28 +49,24 @@ Sender::Sender(versal::Channel& tx0, versal::Channel& tx1,
 
 double Sender::send_column(int which_block_channel, std::uint32_t dest_id,
                            std::uint32_t column, std::uint32_t task,
-                           double ready, std::vector<float> payload,
-                           std::uint64_t payload_bytes_hint) {
+                           double ready, versal::Buffer payload,
+                           bool store_payload) {
   HSVD_REQUIRE(which_block_channel == 0 || which_block_channel == 1,
                "a block pair uses exactly two Tx PLIOs");
   versal::Channel& tx = which_block_channel == 0 ? tx0_ : tx1_;
-  const double bytes = payload.empty()
-                           ? static_cast<double>(payload_bytes_hint)
-                           : static_cast<double>(payload.size() * sizeof(float));
+  const double bytes = static_cast<double>(payload.bytes);
   const double at_plio = tx.transfer(ready, bytes);
   if (obs::ObsContext* obs = array_.observer()) {
-    obs->metrics().add("sim.plio.bytes", static_cast<std::uint64_t>(bytes));
+    obs->metrics().add("sim.plio.bytes", payload.bytes);
     if (obs::Tracer* tr = obs->tracer()) {
       const double dur = tx.transfer_duration(bytes);
       tr->span(obs::Domain::kSim, cat("plio.", tx.name()),
                cat("c", column, ".t", task), "plio", at_plio - dur, dur);
     }
   }
-  const bool functional = !payload.empty();
-  versal::Packet packet{{dest_id, column, task}, std::move(payload)};
-  const versal::TileCoord dst = forwarding_.route(dest_id);
-  return array_.stream_packet(dst, std::move(packet), at_plio, functional,
-                              payload_bytes_hint);
+  const versal::Packet packet{{dest_id, column, task}, payload};
+  return array_.stream_packet(forwarding_.route(dest_id), packet, at_plio,
+                              store_payload);
 }
 
 Receiver::Receiver(versal::Channel& rx0, versal::Channel& rx1,

@@ -60,12 +60,12 @@ class Sender {
          versal::ForwardingTable forwarding, versal::AieArraySim& array);
 
   // Sends one column: packetizes, serializes on the block's Tx PLIO, then
-  // forwards through the packet switch to the tile bound to `dest_id`.
+  // forwards through the packet switch to the tile bound to `dest_id`,
+  // storing `payload` there when `store_payload` (functional execution).
   // Returns the arrival time at the tile's memory.
   double send_column(int which_block_channel, std::uint32_t dest_id,
-                     std::uint32_t column, std::uint32_t task,
-                     double ready, std::vector<float> payload,
-                     std::uint64_t payload_bytes_hint);
+                     std::uint32_t column, std::uint32_t task, double ready,
+                     versal::Buffer payload, bool store_payload);
 
   const versal::ForwardingTable& forwarding() const { return forwarding_; }
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <sstream>
 
-#include "common/checkpoint.hpp"
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "shard/model.hpp"
@@ -27,19 +25,11 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Shortest decimal round-tripping the exact double: a slice replayed
-// from the checkpoint scores identical to a freshly evaluated one.
-std::string g17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Digest of the request fields a slice's design points depend on. The
-// objective only orders the final ranking (slices are recorded
-// pre-sort), so it is excluded on purpose: one checkpoint serves both
-// objectives.
-std::string dse_checkpoint_tag(const DseRequest& request) {
+// Digest of the request fields the design points depend on: the memo
+// key. The objective only orders the final ranking (the memo holds the
+// pre-sort enumeration), so it is excluded on purpose: one entry serves
+// both objectives.
+std::string request_digest(const DseRequest& request) {
   std::uint64_t h = 0xd5eull;
   const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
   const auto fold_d = [&fold](double v) {
@@ -72,57 +62,6 @@ std::string dse_checkpoint_tag(const DseRequest& request) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return cat("dse-", buf);
-}
-
-// Space-separated flat encoding: point count, then 30 numbers per
-// point. All numeric, so no escaping is needed.
-std::string serialize_points(const std::vector<DesignPoint>& points) {
-  std::ostringstream os;
-  os << points.size();
-  for (const auto& p : points) {
-    os << ' ' << p.p_eng << ' ' << p.p_task << ' ' << p.shards << ' '
-       << g17(p.frequency_hz);
-    const auto& l = p.latency;
-    for (double v : {l.t_tx_col, l.t_tx_blk, l.t_rx_blk, l.t_orth,
-                     l.t_norm_kernel, l.t_aie_wait, l.t_algo, l.t_datawait,
-                     l.t_pipeline, l.t_round, l.t_iter, l.t_ddr,
-                     l.t_norm_stage, l.t_hls, l.t_task, l.t_sys}) {
-      os << ' ' << g17(v);
-    }
-    const auto& r = p.resources;
-    os << ' ' << r.aie_orth << ' ' << r.aie_norm << ' ' << r.aie_mem << ' '
-       << r.plio << ' ' << r.uram << ' ' << r.bram << ' ' << r.lut;
-    os << ' ' << g17(p.power_watts) << ' ' << g17(p.latency_seconds) << ' '
-       << g17(p.throughput_tasks_per_s);
-  }
-  return os.str();
-}
-
-bool deserialize_points(const std::string& payload,
-                        std::vector<DesignPoint>& out) {
-  out.clear();
-  if (payload.empty()) return true;  // slice proven infeasible
-  std::istringstream is(payload);
-  std::size_t count = 0;
-  if (!(is >> count)) return false;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    DesignPoint p;
-    auto& l = p.latency;
-    auto& r = p.resources;
-    if (!(is >> p.p_eng >> p.p_task >> p.shards >> p.frequency_hz >> l.t_tx_col >>
-          l.t_tx_blk >> l.t_rx_blk >> l.t_orth >> l.t_norm_kernel >>
-          l.t_aie_wait >> l.t_algo >> l.t_datawait >> l.t_pipeline >>
-          l.t_round >> l.t_iter >> l.t_ddr >> l.t_norm_stage >> l.t_hls >>
-          l.t_task >> l.t_sys >> r.aie_orth >> r.aie_norm >> r.aie_mem >>
-          r.plio >> r.uram >> r.bram >> r.lut >> p.power_watts >>
-          p.latency_seconds >> p.throughput_tasks_per_s)) {
-      out.clear();
-      return false;
-    }
-    out.push_back(p);
-  }
-  return true;
 }
 
 }  // namespace
@@ -198,7 +137,7 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
   // digest deliberately excludes) with zero placement calls.
   std::string memo_key;
   if (request.memoize) {
-    memo_key = dse_checkpoint_tag(request);
+    memo_key = request_digest(request);
     std::lock_guard<std::mutex> lock(counters_->enumerate_memo_mutex);
     const auto it = counters_->enumerate_memo.find(memo_key);
     if (it != counters_->enumerate_memo.end()) {
@@ -221,12 +160,6 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
     }
   }
 
-  std::shared_ptr<common::CheckpointFile> checkpoint;
-  if (!request.checkpoint_path.empty()) {
-    checkpoint = std::make_shared<common::CheckpointFile>(
-        request.checkpoint_path, dse_checkpoint_tag(request));
-  }
-
   // Each P_eng slice of the design space is self-contained (its own
   // placements, its own P_task scan), so slices evaluate in parallel on
   // the pool; slice outputs are concatenated in P_eng order, keeping the
@@ -237,15 +170,6 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
   const auto evaluate_slice = [&](std::size_t slice) {
     const int p_eng = static_cast<int>(slice) + 1;
     if (request.cols < 2 * static_cast<std::size_t>(p_eng)) return;
-    const std::string key = cat("peng:", p_eng);
-    if (checkpoint != nullptr) {
-      if (const std::string* payload = checkpoint->find(key)) {
-        // Replayed slice: identical points, zero placement calls. A
-        // malformed payload (torn write) falls through to a fresh
-        // evaluation that overwrites the record.
-        if (deserialize_points(*payload, slices[slice])) return;
-      }
-    }
     SliceCache& cache = caches[slice];
     const auto max_tasks = max_task_parallelism_cached(request, p_eng, cache);
     if (max_tasks.has_value()) {
@@ -297,11 +221,6 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
           slices[slice].push_back(multi);
         }
       }
-    }
-    // Record feasible and infeasible slices alike (an empty point list
-    // proves infeasibility, so the resume skips the placement scan too).
-    if (checkpoint != nullptr) {
-      checkpoint->record(key, serialize_points(slices[slice]));
     }
   };
   const int threads = common::ThreadPool::resolve_threads(request.threads);

@@ -78,20 +78,11 @@ struct DseRequest {
   // placement-effort counters and -- through the pool observer -- a host
   // span per P_eng slice. Never changes the enumeration.
   obs::ObsContext* observer = nullptr;
-  // Checkpoint/resume for expensive sweeps: when non-empty, every
-  // evaluated P_eng slice (its scored design points, or its proven
-  // infeasibility) is recorded in this file, and a rerun with the same
-  // request replays the recorded slices without a single placement
-  // call. The file is tagged with a digest of the request (shape, batch,
-  // iterations, frequency, device budgets -- the objective only orders
-  // the final ranking and is deliberately excluded); custom
-  // frequency/power/performance models are NOT part of the tag, so keep
-  // one checkpoint per explorer configuration.
-  std::string checkpoint_path;
   // In-memory cross-call memoization: when true, the full enumeration
   // (pre-sort, so one entry serves every objective) is cached in the
-  // explorer's shared state under the same request digest the checkpoint
-  // uses, and a repeat request returns the cached points with zero
+  // explorer's shared state under a digest of the request (shape, batch,
+  // iterations, frequency, device budgets, shard limit; not the
+  // objective), and a repeat request returns the cached points with zero
   // placement calls. Opt-in because the memo pins the scored points in
   // memory (up to 128 requests' worth, ~19 KB each, then it starts over);
   // the backend router and the svd()/svd_batch() facade, which ask for
@@ -174,7 +165,7 @@ class DesignSpaceExplorer {
     std::atomic<std::uint64_t> placement_reuses{0};
     std::atomic<std::uint64_t> enumerate_memo_hits{0};
     std::mutex enumerate_memo_mutex;
-    // Request digest (dse_checkpoint_tag) -> pre-sort enumeration.
+    // Request digest (request_digest) -> pre-sort enumeration.
     std::map<std::string, std::vector<DesignPoint>> enumerate_memo;
   };
   std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();

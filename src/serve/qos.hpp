@@ -78,8 +78,8 @@ struct QosOptions {
   std::size_t coalesce_max_batch = 1;
   double coalesce_window_seconds = 0.010;
 
-  // Digest-keyed LRU result cache (FNV-1a over the matrix bytes, the
-  // same checksum the fault-detection boundaries use). Capacity is in
+  // Digest-keyed LRU result cache (FNV-1a over the matrix bytes,
+  // versal::buffer_checksum). Capacity is in
   // entries; every hit re-verifies the full stored matrix.
   bool cache_enabled = false;
   std::size_t cache_capacity = 64;

@@ -1,7 +1,7 @@
 // Verified-compute policy and provenance types (DESIGN.md section 15).
 //
 // The accelerator's fault detection lives at dataflow boundaries
-// (checksums, non-finite guards, the watchdog): a *silent* error -- an
+// (stamp checks, non-finite guards, the watchdog): a *silent* error -- an
 // undetected SEU, a wrong-but-finite kernel result, a buggy backend --
 // flows straight past it. The verify layer closes that gap with result
 // attestation: tiered mathematical checks on the returned factors,

@@ -7,12 +7,6 @@
 
 namespace hsvd::versal {
 
-namespace {
-// Spare shadow buffers kept per tile: a tile issues its DMA transfers one
-// at a time and each is resolved before the next, so a couple suffice.
-constexpr std::size_t kSpareBuffersPerTile = 2;
-}  // namespace
-
 AieArraySim::AieArraySim(const ArrayGeometry& geometry,
                          const DeviceResources& device)
     : geometry_(geometry),
@@ -22,9 +16,7 @@ AieArraySim::AieArraySim(const ArrayGeometry& geometry,
       cores_(static_cast<std::size_t>(geometry_.tile_count())),
       stream_ports_(static_cast<std::size_t>(geometry_.tile_count())),
       dma_engines_(static_cast<std::size_t>(geometry_.tile_count())),
-      tile_counters_(static_cast<std::size_t>(geometry_.tile_count())),
-      spare_buffers_(static_cast<std::size_t>(geometry_.tile_count()),
-                     BufferPool(kSpareBuffersPerTile)) {}
+      tile_counters_(static_cast<std::size_t>(geometry_.tile_count())) {}
 
 void AieArraySim::attach_observer(obs::ObsContext* observer) {
   obs_ = observer;
@@ -58,9 +50,9 @@ void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
   if (src == dst) return;
   TileMemory& sm = memory(src);
   if (sm.contains(key)) {
-    std::vector<float> data = sm.take(key);
-    bytes = data.size() * sizeof(float);
-    memory(dst).store(key, std::move(data));
+    const Buffer buffer = sm.take(key);
+    bytes = buffer.bytes;
+    memory(dst).store(key, buffer);
   }
   // The consuming tile reads the shared memory module: charge the link
   // bytes to the destination.
@@ -92,16 +84,15 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
   TileMemory& sm = memories_[src_index];
   std::uint64_t bytes = bytes_hint;
   if (sm.contains(key)) {
-    const std::vector<float>& data = sm.load(key);
-    bytes = data.size() * sizeof(float);
+    Buffer shadow = sm.load(key);
+    bytes = shadow.bytes;
     // The shadow copy lives in the destination while the source keeps its
-    // original until the consumer releases it: the 2x memory cost of DMA.
+    // original until the consumer erases it: the 2x memory cost of DMA.
     // A dropped DMA consumes the engine's time but never lands the
     // shadow; a staged shadow can take an injected SEU.
     if (!drop) {
-      std::vector<float> shadow = spare_buffers_[src_index].copy_of(data);
       if (faults_ != nullptr) faults_->corrupt_payload(dst, shadow);
-      memory(dst).store(key.shadow(), std::move(shadow));
+      memory(dst).store(key.shadow(), shadow);
     }
   }
   tally.dma_bytes += bytes;
@@ -122,13 +113,11 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
   return done;
 }
 
-double AieArraySim::stream_packet(const TileCoord& dst, Packet packet,
-                                  double ready, bool store_payload,
-                                  std::uint64_t payload_bytes_hint) {
+double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
+                                  double ready, bool store_payload) {
   const auto dst_index = static_cast<std::size_t>(geometry_.index_of(dst));
   TileCounters& tally = tile_counters_[dst_index];
-  const std::uint64_t wire_bytes =
-      packet.payload.empty() ? 16 + payload_bytes_hint : packet.bytes();
+  const std::uint64_t wire_bytes = packet.bytes();
   ++tally.stream_packets;
   tally.stream_bytes += wire_bytes;
   bool drop = false;
@@ -147,11 +136,11 @@ double AieArraySim::stream_packet(const TileCoord& dst, Packet packet,
       }
     }
   }
-  if (store_payload && !packet.payload.empty() && !drop) {
-    if (faults_ != nullptr) faults_->corrupt_payload(dst, packet.payload);
+  if (store_payload && !drop) {
+    Buffer payload = packet.payload;
+    if (faults_ != nullptr) faults_->corrupt_payload(dst, payload);
     memories_[dst_index].store(
-        BufferKey(packet.header.task, packet.header.column),
-        std::move(packet.payload));
+        BufferKey(packet.header.task, packet.header.column), payload);
   }
   // Stream ports move 32 bits per AIE cycle.
   const double rate = 4.0 * device_.aie_clock_hz;
@@ -199,12 +188,6 @@ double AieArraySim::run_kernel(const TileCoord& tile, double ready,
     }
   }
   return done;
-}
-
-void AieArraySim::release(const TileCoord& tile, BufferKey key) {
-  const auto index = static_cast<std::size_t>(geometry_.index_of(tile));
-  TileMemory& mem = memories_[index];
-  if (mem.contains(key)) spare_buffers_[index].release(mem.take(key));
 }
 
 ArrayStats AieArraySim::stats() const {

@@ -2,19 +2,18 @@
 // memories, plus the three inter-tile transfer mechanisms of Fig. 1
 // (neighbour access, DMA, packet streams) with their cost asymmetry.
 //
-// Buffers are addressed by BufferKey handles (versal/memory.hpp) and the
-// data plane mirrors the hardware's costs: a neighbour access hands the
-// buffer to the consumer by move (the "free copy" through a shared memory
-// module), a packet's payload is moved into the destination memory, and
-// DMA is the only transfer that copies -- into the destination's "#dma"
-// shadow slot, the twice-the-memory cost of the slow path. The shadow is
-// copied into storage from the source tile's spare-buffer pool, which
-// release() refills when the consumer frees the original.
+// Buffers are BufferKey-addressed tokens (versal/memory.hpp): a byte
+// count and a provenance stamp, not the column's floats. The data plane
+// mirrors the hardware's costs: a neighbour access hands the token to the
+// consumer (the "free copy" through a shared memory module), a packet's
+// token is stored in the destination memory, and DMA is the only transfer
+// that duplicates -- into the destination's "#dma" shadow slot, the
+// twice-the-memory cost of the slow path, accounted by bytes.
 //
-// Functional payloads are optional: when a transfer is issued without
-// data the simulator still performs all capacity accounting and timing,
-// which is how the large-size benches run (timing is data-independent
-// once the iteration count is fixed).
+// Functional tokens are optional: when a transfer is issued for a buffer
+// that is not resident, the simulator still performs all accounting and
+// timing, which is how the timing-only estimate() runs (timing is
+// data-independent once the iteration count is fixed).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,7 @@ class AieArraySim {
   // std::invalid_argument otherwise; an O(1) check). Zero-copy in time
   // and in data: the consuming kernel reads the shared memory module
   // directly, so the buffer is moved, not copied, to dst. `bytes_hint`
-  // supplies the link-byte tally when the move carries no payload
+  // supplies the link-byte tally when src holds no buffer under `key`
   // (timing-only execution).
   void neighbour_move(const TileCoord& src, const TileCoord& dst,
                       BufferKey key, std::uint64_t bytes_hint = 0);
@@ -63,27 +62,21 @@ class AieArraySim {
   // DMA transfer: allowed between any two tiles. Copies the buffer into
   // dst under key.shadow() while src keeps its original -- the "twice
   // the memory" cost -- and occupies the source tile's DMA engine for
-  // bytes / dma_rate. Returns completion time.
+  // bytes / dma_rate. The consumer resolves the shadow by erasing the
+  // original. Returns completion time.
   double dma_move(const TileCoord& src, const TileCoord& dst, BufferKey key,
                   double ready, std::uint64_t bytes_hint = 0);
 
   // Stream packet from PL into a tile (or between tiles) through the
   // packet-switched network; serializes on the destination's stream port.
-  // With `store_payload`, the payload is moved into dst's memory under
-  // BufferKey(header.task, header.column). `payload_bytes_hint` supplies
-  // the wire size when the packet carries no payload (timing-only
-  // execution).
-  double stream_packet(const TileCoord& dst, Packet packet, double ready,
-                       bool store_payload,
-                       std::uint64_t payload_bytes_hint = 0);
+  // With `store_payload`, the payload token is stored in dst's memory
+  // under BufferKey(header.task, header.column); without it (timing-only
+  // execution) the packet only costs wire time.
+  double stream_packet(const TileCoord& dst, const Packet& packet,
+                       double ready, bool store_payload);
 
   // Records a kernel run on the tile's core timeline.
   double run_kernel(const TileCoord& tile, double ready, double duration);
-
-  // Erases `key` from `tile`'s memory (no-op when absent) and keeps its
-  // storage in the tile's spare-buffer pool for the tile's next DMA
-  // shadow copy.
-  void release(const TileCoord& tile, BufferKey key);
 
   // Totals of the per-tile counters, summed on each call.
   ArrayStats stats() const;
@@ -111,7 +104,7 @@ class AieArraySim {
   double dma_setup_seconds() const { return 300.0 / device_.aie_clock_hz; }
 
   // Optional fault injection: when attached, kernels, DMA transfers,
-  // packet stores, and staged payloads are perturbed per the injector's
+  // packet stores, and staged buffers are perturbed per the injector's
   // FaultPlan (not owned; pass nullptr to detach). A hung core reports
   // +infinity as its kernel completion time -- the accelerator's
   // detection points treat a non-finite timestamp as a dead tile.
@@ -156,9 +149,6 @@ class AieArraySim {
     return tile_counters_[static_cast<std::size_t>(geometry_.index_of(t))];
   }
   std::vector<TileCounters> tile_counters_;
-  // Per tile: storage released by consumers of the tile's DMA transfers,
-  // reused for its next shadow copy. Owned like the counters above.
-  std::vector<BufferPool> spare_buffers_;
   FaultInjector* faults_ = nullptr;
   obs::ObsContext* obs_ = nullptr;
 };

@@ -51,56 +51,6 @@ std::uint64_t buffer_checksum(std::span<const float> data) {
   return h;
 }
 
-std::uint64_t fabric_checksum(std::span<const float> data) {
-  constexpr std::uint64_t kPrime = 0x9e3779b97f4a7c15ull;  // odd
-  // Odd multiply and xorshift are both invertible; the shift carries
-  // high-bit differences back into the low bits.
-  const auto step = [](std::uint64_t h, std::uint64_t word) {
-    h = (h ^ word) * kPrime;
-    return h ^ (h >> 32);
-  };
-  const float* p = data.data();
-  const auto word_at = [p](std::size_t w) {
-    std::uint64_t word;
-    std::memcpy(&word, p + 2 * w, sizeof(word));
-    return word;
-  };
-  // Seeding with the length makes a truncated buffer mismatch too; each
-  // lane starts from its own seed so words trading lanes still differ.
-  const std::uint64_t seed = 1469598103934665603ull ^ data.size();
-  // Word w (two floats) feeds lane w % 4: four independent multiply
-  // chains the core overlaps, instead of one serial chain. The lanes are
-  // named scalars so they stay in registers.
-  std::uint64_t l0 = seed;
-  std::uint64_t l1 = seed + kPrime;
-  std::uint64_t l2 = seed + 2 * kPrime;
-  std::uint64_t l3 = seed + 3 * kPrime;
-  const std::size_t words = data.size() / 2;
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    l0 = step(l0, word_at(w));
-    l1 = step(l1, word_at(w + 1));
-    l2 = step(l2, word_at(w + 2));
-    l3 = step(l3, word_at(w + 3));
-  }
-  if (w < words) l0 = step(l0, word_at(w));
-  if (w + 1 < words) l1 = step(l1, word_at(w + 1));
-  if (w + 2 < words) l2 = step(l2, word_at(w + 2));
-  std::uint64_t h = seed;
-  if (data.size() % 2 != 0) {
-    std::uint32_t word;
-    std::memcpy(&word, p + data.size() - 1, sizeof(word));
-    h = step(h, word);
-  }
-  // Folding each lane in through the same bijective step keeps every
-  // single-word change visible: it alters exactly one lane, and the fold
-  // is injective in each lane with the others fixed.
-  h = step(h, l0);
-  h = step(h, l1);
-  h = step(h, l2);
-  return step(h, l3);
-}
-
 namespace {
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -214,13 +164,13 @@ double FaultInjector::on_dma(const TileCoord& src, bool* drop) {
                        FaultKind::kDmaStall, src, drop);
 }
 
-bool FaultInjector::corrupt_payload(const TileCoord& tile,
-                                    std::vector<float>& data) {
+bool FaultInjector::corrupt_payload(const TileCoord& tile, Buffer& buffer) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::pair<int, TileCoord> key{3, tile};
   const std::uint64_t op = counters_[key]++;
+  const std::uint64_t words = buffer.bytes / sizeof(float);
   auto it = armed_.find(key);
-  if (it == armed_.end() || data.empty()) return false;
+  if (it == armed_.end() || words == 0) return false;
   bool flipped = false;
   for (auto& armed : it->second) {
     const FaultSpec& spec = plan_.faults[armed.plan_index];
@@ -233,12 +183,11 @@ bool FaultInjector::corrupt_payload(const TileCoord& tile,
     // same plan corrupts the same bit in every replay.
     const std::uint64_t r =
         splitmix64(plan_.seed ^ (0x51ed2701u + armed.plan_index));
-    const std::size_t word = static_cast<std::size_t>(r % data.size());
+    const std::uint64_t word = r % words;
     const int bit = static_cast<int>((r >> 32) % 32);
-    std::uint32_t bits;
-    std::memcpy(&bits, &data[word], sizeof(bits));
-    bits ^= 1u << bit;
-    std::memcpy(&data[word], &bits, sizeof(bits));
+    // The stamp stands for the column's content: the flip lands in the
+    // stamp half the word's parity picks.
+    buffer.stamp ^= std::uint64_t{1} << (bit + 32 * (word % 2));
     flipped = true;
     record(armed.plan_index, tile, op,
            cat("bit ", bit, " of word ", word, " flipped at ",

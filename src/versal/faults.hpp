@@ -14,7 +14,7 @@
 // SEU flips) via a splitmix64 hash, so a plan replays bit-identically.
 //
 // The injector only *causes* faults; detection lives at the accelerator's
-// dataflow boundaries (checksums, missing-buffer checks, non-finite
+// dataflow boundaries (stamp checks, missing-buffer checks, non-finite
 // guards, the convergence watchdog) and recovery in the accelerator's
 // retry/re-placement policy.
 #pragma once
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "versal/geometry.hpp"
+#include "versal/memory.hpp"
 
 namespace hsvd::versal {
 
@@ -39,7 +40,7 @@ enum class FaultKind {
   kDmaStall,       // the nth DMA out of the tile is delayed
   kPlioDegrade,    // a task slot's PLIO bandwidth is scaled down
   kSilentError,    // post-detection corruption of a returned factor:
-                   // flies under every dataflow checksum and non-finite
+                   // flies under every dataflow stamp check and non-finite
                    // guard, only result attestation can catch it
 };
 
@@ -82,15 +83,6 @@ struct FaultEvent {
 // values must stay fixed, so it stays byte-wise.
 std::uint64_t buffer_checksum(std::span<const float> data);
 
-// The integrity checksum the PL sender stamps on outgoing columns and the
-// Rx boundary recomputes. Word-wise: one multiply per 64-bit word (two
-// floats), spread over four independent lanes folded together at the
-// end. Each step is a bijection of its lane's state for a fixed word, so
-// any change confined to one word -- every single-bit flip -- always
-// changes the result; the length seeds every lane, so truncation does
-// too.
-std::uint64_t fabric_checksum(std::span<const float> data);
-
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
@@ -104,9 +96,11 @@ class FaultInjector {
   double on_stream(const TileCoord& tile, bool* drop);
   // Counts a DMA issued by `src`'s engine; delay + shadow-drop flag.
   double on_dma(const TileCoord& src, bool* drop);
-  // Counts a payload staged into `tile`'s memory; may flip one seed-chosen
-  // bit in `data`. Returns true when a flip happened.
-  bool corrupt_payload(const TileCoord& tile, std::vector<float>& data);
+  // Counts a buffer staged into `tile`'s memory; may flip one seed-chosen
+  // bit of the column (word W of its bytes / 4, bit B) -- which flips one
+  // bit of `buffer`'s provenance stamp, so the Rx stamp check catches
+  // every SEU. Returns true when a flip happened.
+  bool corrupt_payload(const TileCoord& tile, Buffer& buffer);
   // Counts a finished result for task `slot` and may apply an armed
   // kSilentError: a seed-chosen exponent-bit flip of either sigma[0] or
   // a dominant U entry -- a finite, plausible-looking corruption that no

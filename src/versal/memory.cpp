@@ -16,20 +16,19 @@ std::size_t TileMemory::find(BufferKey key) const {
   return i;
 }
 
-std::vector<float> TileMemory::remove(std::size_t i) {
-  std::vector<float> data = std::move(slots_[i].data);
-  used_ -= data.size() * sizeof(float);
-  if (i + 1 != slots_.size()) slots_[i] = std::move(slots_.back());
+Buffer TileMemory::remove(std::size_t i) {
+  const Buffer buffer = slots_[i].buffer;
+  used_ -= buffer.bytes;
+  if (i + 1 != slots_.size()) slots_[i] = slots_.back();
   slots_.pop_back();
-  return data;
+  return buffer;
 }
 
-void TileMemory::store(BufferKey key, std::vector<float> values) {
+void TileMemory::store(BufferKey key, Buffer buffer) {
   const std::size_t i = find(key);
   const bool replacing = i < slots_.size();
-  const std::uint64_t incoming = values.size() * sizeof(float);
-  std::uint64_t after = used_ + incoming;
-  if (replacing) after -= slots_[i].data.size() * sizeof(float);
+  std::uint64_t after = used_ + buffer.bytes;
+  if (replacing) after -= slots_[i].buffer.bytes;
   if (after > capacity_) {
     throw std::runtime_error(
         cat("tile memory overflow: need ", after, " bytes of ", capacity_,
@@ -38,19 +37,19 @@ void TileMemory::store(BufferKey key, std::vector<float> values) {
   used_ = after;
   peak_ = peak_ > used_ ? peak_ : used_;
   if (replacing) {
-    slots_[i].data = std::move(values);
+    slots_[i].buffer = buffer;
   } else {
-    slots_.push_back(Slot{key, std::move(values)});
+    slots_.push_back(Slot{key, buffer});
   }
 }
 
-const std::vector<float>& TileMemory::load(BufferKey key) const {
+Buffer TileMemory::load(BufferKey key) const {
   const std::size_t i = find(key);
   HSVD_REQUIRE(i < slots_.size(), cat("missing buffer '", to_string(key), "'"));
-  return slots_[i].data;
+  return slots_[i].buffer;
 }
 
-std::vector<float> TileMemory::take(BufferKey key) {
+Buffer TileMemory::take(BufferKey key) {
   const std::size_t i = find(key);
   HSVD_REQUIRE(i < slots_.size(), cat("missing buffer '", to_string(key), "'"));
   return remove(i);
@@ -72,22 +71,6 @@ std::size_t TileMemory::erase_if(const std::function<bool(BufferKey)>& pred) {
     }
   }
   return removed;
-}
-
-std::vector<float> BufferPool::copy_of(std::span<const float> values) {
-  std::vector<float> out;
-  if (!free_.empty()) {
-    out = std::move(free_.back());
-    free_.pop_back();
-  }
-  out.assign(values.begin(), values.end());
-  return out;
-}
-
-void BufferPool::release(std::vector<float> buffer) {
-  if (buffer.capacity() != 0 && free_.size() < capacity_) {
-    free_.push_back(std::move(buffer));
-  }
 }
 
 }  // namespace hsvd::versal

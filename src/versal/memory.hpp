@@ -5,20 +5,18 @@
 // packs the owning batch task, the global column index and the shadow
 // bit into one 64-bit word, so lookups are integer compares over a small
 // flat slot vector (a tile holds a handful of buffers at a time). A
-// buffer is moved in (store) and moved out (take); the memory never
-// copies one. Allocation is checked against the 4 x 8 KB budget so
-// placement bugs that would not fit on silicon fail loudly in
-// simulation. Peak usage is tracked for the resource reports.
-//
-// A BufferPool keeps released column buffers for reuse, so the copies the
-// data plane does make (the PL sender's Tx payload, a DMA shadow) land in
-// storage an earlier transfer freed instead of a fresh allocation.
+// buffer is a token, not the column's floats: its byte count, which the
+// memory accounts, and a provenance stamp the PL sender issued, which a
+// fault can corrupt and the Rx boundary checks. The kernels compute on
+// the host matrix, so nothing in the fabric needs the floats themselves.
+// Allocation is checked against the 4 x 8 KB budget so placement bugs
+// that would not fit on silicon fail loudly in simulation. Peak usage is
+// tracked for the resource reports.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +49,15 @@ class BufferKey {
   std::uint64_t bits_;
 };
 
+// One tile-memory buffer: `bytes` of column data under the provenance
+// `stamp` the PL sender gave it. Moves and DMA copies carry the stamp
+// unchanged; only an injected SEU alters it.
+struct Buffer {
+  std::uint64_t bytes = 0;
+  std::uint64_t stamp = 0;
+  friend bool operator==(const Buffer&, const Buffer&) = default;
+};
+
 // "c<col>.t<task>", with a "#dma" suffix for a shadow copy: the name
 // diagnostics and trace labels use for the buffer.
 std::string to_string(BufferKey key);
@@ -60,19 +67,18 @@ class TileMemory {
   explicit TileMemory(std::uint64_t capacity_bytes)
       : capacity_(capacity_bytes) {}
 
-  // Allocates (or replaces) a buffer of `values.size()` floats under `key`,
-  // taking ownership of `values`. Throws std::runtime_error if the tile
-  // memory would overflow.
-  void store(BufferKey key, std::vector<float> values);
+  // Allocates (or replaces) `buffer.bytes` under `key`. Throws
+  // std::runtime_error if the tile memory would overflow.
+  void store(BufferKey key, Buffer buffer);
 
   bool contains(BufferKey key) const { return find(key) < slots_.size(); }
 
   // Throws std::invalid_argument when `key` is absent.
-  const std::vector<float>& load(BufferKey key) const;
+  Buffer load(BufferKey key) const;
 
-  // Moves the buffer out and releases its bytes. Throws
+  // Removes the buffer, releases its bytes and returns it. Throws
   // std::invalid_argument when `key` is absent.
-  std::vector<float> take(BufferKey key);
+  Buffer take(BufferKey key);
 
   // Removes a buffer; no-op if absent.
   void erase(BufferKey key);
@@ -89,43 +95,19 @@ class TileMemory {
  private:
   struct Slot {
     BufferKey key;
-    std::vector<float> data;
+    Buffer buffer;
   };
 
   // Index of `key`'s slot; slots_.size() when absent.
   std::size_t find(BufferKey key) const;
   // Drops slot `i` (order is not kept), releases its bytes and returns
   // its buffer.
-  std::vector<float> remove(std::size_t i);
+  Buffer remove(std::size_t i);
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::uint64_t peak_ = 0;
   std::vector<Slot> slots_;
-};
-
-// A bounded free list of released column buffers. Unsynchronized by
-// design: each pool has one owner (a tile, or a task slot's PL side) whose
-// operations run on one host thread at a time -- the same ownership the
-// tile memories and timelines rely on -- so parallel slot chains never
-// share a pool and need no lock.
-class BufferPool {
- public:
-  explicit BufferPool(std::size_t capacity) : capacity_(capacity) {}
-
-  // A buffer holding a copy of `values`, in released storage when the
-  // pool has some.
-  std::vector<float> copy_of(std::span<const float> values);
-
-  // Keeps `buffer`'s storage for a later copy_of; dropped (freed) when it
-  // has none or the pool already holds `capacity` buffers.
-  void release(std::vector<float> buffer);
-
-  std::size_t size() const { return free_.size(); }
-
- private:
-  std::size_t capacity_;
-  std::vector<std::vector<float>> free_;
 };
 
 }  // namespace hsvd::versal

@@ -4,15 +4,17 @@
 // destination id; AIE switches forward the packet to the tile registered
 // for that id (dynamic forwarding). A ForwardingTable is the rule set the
 // sender module programs (section III-C: odd/even columns of a block pair
-// routed over four PLIOs to their orth-AIEs).
+// routed over four PLIOs to their orth-AIEs). The payload is the
+// column's buffer token (versal/memory.hpp): its byte count sizes the
+// wire transfer, its stamp travels with it.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "versal/geometry.hpp"
+#include "versal/memory.hpp"
 
 namespace hsvd::versal {
 
@@ -24,10 +26,10 @@ struct PacketHeader {
 
 struct Packet {
   PacketHeader header;
-  std::vector<float> payload;
+  Buffer payload;
   std::uint64_t bytes() const {
     // 128-bit header beat + payload words.
-    return 16 + payload.size() * sizeof(float);
+    return 16 + payload.bytes;
   }
 };
 

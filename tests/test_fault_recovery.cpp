@@ -148,6 +148,45 @@ TEST(FaultRecovery, ChecksumCatchesInFabricBitFlip) {
   EXPECT_EQ(run.tasks[0].status, hsvd::SvdStatus::kOk);
 }
 
+TEST(FaultRecovery, DmaShadowBitFlipIsCaughtAtRx) {
+  const auto cfg = small_config();
+  const auto batch = small_batch(2, 905);
+
+  HeteroSvdConfig no_retry = cfg;
+  no_retry.fault_retries = 0;
+  HeteroSvdAccelerator acc(no_retry);
+  // The SEU lands in the "#dma" shadow staged on an inter-band move's
+  // destination tile, not in a stream-delivered column.
+  versal::TileCoord dst{-1, -1};
+  for (const auto& tr : acc.dataflow(0).transitions) {
+    for (const auto& mv : tr.moves) {
+      if (mv.is_dma) {
+        dst = mv.dst;
+        break;
+      }
+    }
+    if (dst.row >= 0) break;
+  }
+  ASSERT_GE(dst.row, 0) << "two-band placement must have inter-band DMA";
+  versal::FaultPlan plan;
+  plan.seed = 17;
+  plan.faults.push_back(
+      {versal::FaultKind::kMemoryBitFlip, dst, 0, 0, 0.0, 1.0});
+  versal::FaultInjector injector(plan);
+  acc.attach_faults(&injector);
+
+  const RunResult run = acc.run(batch);
+  ASSERT_EQ(injector.event_count(), 1u);
+  EXPECT_EQ(injector.events().front().detail,
+            "bit 16 of word 15 flipped at (2,0)");
+  EXPECT_EQ(run.failed_tasks, 1);
+  EXPECT_EQ(run.tasks[0].status, hsvd::SvdStatus::kFailed);
+  EXPECT_EQ(run.tasks[0].message,
+            "checksum mismatch on c15.t0 at tile (1,5) (corrupted in the "
+            "fabric)");
+  EXPECT_EQ(run.tasks[1].status, hsvd::SvdStatus::kOk);
+}
+
 TEST(FaultRecovery, DroppedDmaShadowIsDetected) {
   const auto cfg = small_config();
   const auto batch = small_batch(2, 903);

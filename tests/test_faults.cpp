@@ -3,12 +3,11 @@
 // the AieArraySim hooks that consult it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
-#include <limits>
-#include <span>
+#include <string>
 #include <vector>
 
 #include "versal/array.hpp"
@@ -44,52 +43,32 @@ TEST(FaultChecksum, BufferChecksumKnownAnswer) {
 }
 
 TEST(FaultChecksum, FabricChecksumDetectsEverySingleBitFlip) {
-  // Lengths 0..33 cover every split of a column into four-word lane
-  // blocks, leftover words and an odd trailing float; 64 is a full
-  // column of the default shapes. ramp() values are distinct, so every
-  // swap below really changes the buffer.
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 33; ++n) lengths.push_back(n);
-  lengths.push_back(64);
-  for (const std::size_t n : lengths) {
-    std::vector<float> column = ramp(n);
-    const std::uint64_t clean = fabric_checksum(column);
-    EXPECT_EQ(clean, fabric_checksum(ramp(n))) << "n=" << n;  // deterministic
-    int missed = 0;
-    for (std::size_t word = 0; word < n; ++word) {
-      for (int bit = 0; bit < 32; ++bit) {
-        std::uint32_t bits;
-        std::memcpy(&bits, &column[word], sizeof(bits));
-        bits ^= 1u << bit;
-        std::memcpy(&column[word], &bits, sizeof(bits));
-        if (fabric_checksum(column) == clean) ++missed;
-        bits ^= 1u << bit;
-        std::memcpy(&column[word], &bits, sizeof(bits));
-      }
-    }
-    EXPECT_EQ(missed, 0) << "n=" << n;
-    // Adjacent floats trading places, and adjacent 64-bit words (float
-    // pairs, which land in neighbouring lanes) trading places.
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      std::swap(column[i], column[i + 1]);
-      EXPECT_NE(fabric_checksum(column), clean) << "n=" << n << " swap " << i;
-      std::swap(column[i], column[i + 1]);
-    }
-    const auto swap_words = [&column](std::size_t i) {
-      const auto at = column.begin() + static_cast<std::ptrdiff_t>(i);
-      std::swap_ranges(at, at + 2, at + 2);
-    };
-    for (std::size_t i = 0; i + 3 < n; i += 2) {
-      swap_words(i);
-      EXPECT_NE(fabric_checksum(column), clean)
-          << "n=" << n << " word swap " << i / 2;
-      swap_words(i);
-    }
-    // A truncated buffer (one float short) mismatches too.
-    if (n > 0) {
-      EXPECT_NE(fabric_checksum(std::span<const float>(column).first(n - 1)),
-                clean)
-          << "n=" << n;
+  // The Rx boundary compares a column's stamp with the one the sender
+  // issued, so an SEU is caught exactly when its flip changes the stamp.
+  // Every flip changes exactly one stamp bit, and its diagnostic still
+  // names a bit of a word inside the column. Length 1 and 3 are odd
+  // columns; 64 is a full column of the default shapes.
+  for (const std::uint64_t words : {1u, 2u, 3u, 33u, 64u}) {
+    for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+      FaultPlan plan;
+      plan.seed = seed;
+      plan.faults.push_back(
+          {FaultKind::kMemoryBitFlip, {0, 0}, 0, 0, 0.0, 1.0});
+      FaultInjector inj(plan);
+      const Buffer sent{words * sizeof(float), 0x0123456789abcdefull ^ seed};
+      Buffer staged = sent;
+      ASSERT_TRUE(inj.corrupt_payload({0, 0}, staged));
+      ASSERT_EQ(staged.bytes, sent.bytes);
+      ASSERT_EQ(std::popcount(staged.stamp ^ sent.stamp), 1)
+          << "words=" << words << " seed=" << seed;
+      unsigned bit = 99;
+      unsigned long long word = ~0ull;
+      const std::string detail = inj.events().front().detail;
+      ASSERT_EQ(std::sscanf(detail.c_str(), "bit %u of word %llu", &bit, &word),
+                2)
+          << detail;
+      EXPECT_LT(bit, 32u) << detail;
+      EXPECT_LT(word, words) << detail;
     }
   }
 }
@@ -148,33 +127,36 @@ TEST(FaultInjector, BitFlipIsSingleBitAndSeedDeterministic) {
   plan.seed = 77;
   plan.faults.push_back({FaultKind::kMemoryBitFlip, {4, 4}, 0, 0, 0.0, 1.0});
 
-  const std::vector<float> original = ramp(32);
-  std::vector<float> first = original;
+  const Buffer original{32 * sizeof(float), 0x5eed};
+  Buffer first = original;
   FaultInjector a(plan);
   EXPECT_TRUE(a.corrupt_payload({4, 4}, first));
 
-  // Exactly one bit differs from the original.
-  int flipped_bits = 0;
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    std::uint32_t x, y;
-    std::memcpy(&x, &original[i], sizeof(x));
-    std::memcpy(&y, &first[i], sizeof(y));
-    flipped_bits += std::popcount(x ^ y);
-  }
-  EXPECT_EQ(flipped_bits, 1);
+  // Exactly one stamp bit differs from the original; the size is intact.
+  EXPECT_EQ(std::popcount(first.stamp ^ original.stamp), 1);
+  EXPECT_EQ(first.bytes, original.bytes);
 
   // A fresh injector with the same plan corrupts the same bit.
-  std::vector<float> second = original;
+  Buffer second = original;
   FaultInjector b(plan);
   EXPECT_TRUE(b.corrupt_payload({4, 4}, second));
   EXPECT_EQ(first, second);
+  EXPECT_EQ(a.events().front().detail, b.events().front().detail);
 
   // A different seed (almost surely) picks a different bit.
   plan.seed = 78;
-  std::vector<float> third = original;
+  Buffer third = original;
   FaultInjector c(plan);
   EXPECT_TRUE(c.corrupt_payload({4, 4}, third));
   EXPECT_NE(first, third);
+
+  // An empty buffer has no bit to flip: the op is counted, nothing fires.
+  plan.seed = 77;
+  FaultInjector d(plan);
+  Buffer empty{0, 0x5eed};
+  EXPECT_FALSE(d.corrupt_payload({4, 4}, empty));
+  EXPECT_EQ(empty.stamp, 0x5eedu);
+  EXPECT_EQ(d.event_count(), 0u);
 }
 
 TEST(FaultInjector, ResetRearms) {
@@ -223,16 +205,16 @@ TEST(FaultArray, DroppedDmaNeverLandsTheShadow) {
   FaultInjector inj(plan);
   array.attach_faults(&inj);
   const BufferKey c0(0, 0);
-  array.memory({1, 1}).store(c0, ramp(16));
+  array.memory({1, 1}).store(c0, Buffer{64, 1});
   const double done = array.dma_move({1, 1}, {5, 5}, c0, 0.0);
   EXPECT_GT(done, 0.0);  // the engine still burned its time
   EXPECT_FALSE(array.memory({5, 5}).contains(c0.shadow()));
   EXPECT_TRUE(array.memory({1, 1}).contains(c0));  // source intact
   // The next DMA from the same tile is clean (one-shot).
   const BufferKey c1(0, 1);
-  array.memory({1, 1}).store(c1, ramp(16));
+  array.memory({1, 1}).store(c1, Buffer{64, 2});
   array.dma_move({1, 1}, {5, 5}, c1, 0.0);
-  EXPECT_TRUE(array.memory({5, 5}).contains(c1.shadow()));
+  EXPECT_EQ(array.memory({5, 5}).load(c1.shadow()), (Buffer{64, 2}));
 }
 
 TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
@@ -244,12 +226,12 @@ TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
   array.attach_faults(&inj);
   Packet packet;
   packet.header = {0, 4, 2};
-  packet.payload = ramp(24);
-  const std::uint64_t sent = buffer_checksum(packet.payload);
+  packet.payload = Buffer{24 * sizeof(float), /*stamp=*/1234};
   array.stream_packet({2, 7}, packet, 0.0, /*store_payload=*/true);
   ASSERT_TRUE(array.memory({2, 7}).contains(BufferKey(2, 4)));
-  const auto stored = array.memory({2, 7}).load(BufferKey(2, 4));
-  EXPECT_NE(buffer_checksum(stored), sent);
+  const Buffer stored = array.memory({2, 7}).load(BufferKey(2, 4));
+  EXPECT_NE(stored.stamp, packet.payload.stamp);
+  EXPECT_EQ(stored.bytes, packet.payload.bytes);
   ASSERT_EQ(inj.events().size(), 1u);
   EXPECT_EQ(inj.events().front().kind, FaultKind::kMemoryBitFlip);
 }
@@ -263,7 +245,7 @@ TEST(FaultArray, StallStretchesTheTimelineOnly) {
   stalled_array.attach_faults(&inj);
   Packet packet;
   packet.header = {0, 0, 0};
-  packet.payload = ramp(16);
+  packet.payload = Buffer{16 * sizeof(float), /*stamp=*/77};
   const double clean_done =
       clean_array.stream_packet({0, 2}, packet, 0.0, true);
   const double stalled_done =

@@ -397,7 +397,7 @@ TEST(Trace, AttachesToArraySim) {
   sim.run_kernel({1, 1}, 0.0, 1e-6);
   sim.dma_move({0, 0}, {2, 2}, versal::BufferKey(0, 0), 0.0, 1024);
   versal::Packet p;
-  p.payload.assign(8, 0.0f);
+  p.payload = versal::Buffer{8 * sizeof(float), 0};
   sim.stream_packet({1, 0}, p, 0.0, false);
   const Tracer& tracer = *obs.tracer();
   EXPECT_EQ(tracer.spans().size(), 3u);

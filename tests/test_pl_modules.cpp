@@ -52,26 +52,32 @@ class SenderTest : public ::testing::Test {
 };
 
 TEST_F(SenderTest, RoutesPayloadThroughForwardingTable) {
-  std::vector<float> payload(16, 1.0f);
+  const versal::Buffer payload{64, /*stamp=*/3};
   const double done = sender_->send_column(0, 1, /*column=*/7, /*task=*/0, 0.0,
-                                           payload, 64);
+                                           payload, true);
   EXPECT_GT(done, 0.0);
-  EXPECT_TRUE(array_.memory({1, 1}).contains(versal::BufferKey(0, 7)));
+  EXPECT_EQ(array_.memory({1, 1}).load(versal::BufferKey(0, 7)), payload);
   EXPECT_FALSE(array_.memory({1, 0}).contains(versal::BufferKey(0, 7)));
+  EXPECT_EQ(array_.stats().stream_bytes, 16u + 64u);
 }
 
 TEST_F(SenderTest, SerializesPerChannel) {
-  const double a = sender_->send_column(0, 0, 1, 0, 0.0, {}, 1000);
-  const double b = sender_->send_column(0, 0, 2, 0, 0.0, {}, 1000);
-  const double c = sender_->send_column(1, 1, 3, 0, 0.0, {}, 1000);
+  const versal::Buffer column{1000, 0};
+  const double a = sender_->send_column(0, 0, 1, 0, 0.0, column, false);
+  const double b = sender_->send_column(0, 0, 2, 0, 0.0, column, false);
+  const double c = sender_->send_column(1, 1, 3, 0, 0.0, column, false);
   EXPECT_GT(b, a);        // same channel: queued
   EXPECT_LT(c, b);        // other channel: parallel
+  // Timing-only sends cost wire bytes but store nothing.
+  EXPECT_EQ(array_.stats().stream_bytes, 3u * (16u + 1000u));
+  EXPECT_FALSE(array_.memory({1, 1}).contains(versal::BufferKey(0, 3)));
 }
 
 TEST_F(SenderTest, UnknownDestinationThrows) {
-  EXPECT_THROW(sender_->send_column(0, 9, 0, 0, 0.0, {}, 64),
+  const versal::Buffer column{64, 0};
+  EXPECT_THROW(sender_->send_column(0, 9, 0, 0, 0.0, column, false),
                std::invalid_argument);
-  EXPECT_THROW(sender_->send_column(2, 0, 0, 0, 0.0, {}, 64),
+  EXPECT_THROW(sender_->send_column(2, 0, 0, 0, 0.0, column, false),
                std::invalid_argument);
 }
 

@@ -770,7 +770,7 @@ TEST(ServeCampaignResume, CheckpointFromDifferentOptionsIsNeverReused) {
   EXPECT_NE(first.front().plan_seed, second.front().plan_seed);
 }
 
-// ------------------------------------------------------------ DSE resume
+// ------------------------------------------------------------ DSE replay
 
 TEST(ServeDseResume, ReplayedSweepMatchesWithZeroPlacementCalls) {
   dse::DseRequest request;
@@ -779,16 +779,18 @@ TEST(ServeDseResume, ReplayedSweepMatchesWithZeroPlacementCalls) {
   request.batch = 2;
   request.iterations = 2;
   request.threads = 1;
-  request.checkpoint_path = temp_path("dse_resume");
+  request.memoize = true;
 
   dse::DesignSpaceExplorer explorer;
   const auto fresh = explorer.enumerate(request);
   ASSERT_FALSE(fresh.empty());
   EXPECT_GT(explorer.last_stats().placement_calls, 0u);
+  EXPECT_EQ(explorer.last_stats().enumerate_memo_hits, 0u);
 
-  dse::DesignSpaceExplorer replayer;
-  const auto replayed = replayer.enumerate(request);
-  EXPECT_EQ(replayer.last_stats().placement_calls, 0u);
+  // The repeat request replays the memoized sweep.
+  const auto replayed = explorer.enumerate(request);
+  EXPECT_EQ(explorer.last_stats().placement_calls, 0u);
+  EXPECT_EQ(explorer.last_stats().enumerate_memo_hits, 1u);
 
   ASSERT_EQ(replayed.size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {

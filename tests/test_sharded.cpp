@@ -423,24 +423,23 @@ TEST(ShardedDse, MaxShardsAddsMultiArrayPoints) {
 }
 
 TEST(ShardedDse, CheckpointRoundTripsShardedPoints) {
-  const std::string path = ::testing::TempDir() + "dse_shards.ckpt";
-  std::remove(path.c_str());
   dse::DseRequest req;
   req.rows = req.cols = 64;
   req.batch = 1;
   req.threads = 1;
   req.max_shards = 2;
-  req.checkpoint_path = path;
+  req.memoize = true;
   dse::DesignSpaceExplorer explorer;
   const auto first = explorer.enumerate(req);
   const auto replay = explorer.enumerate(req);
+  EXPECT_EQ(explorer.last_stats().enumerate_memo_hits, 1u);
+  EXPECT_EQ(explorer.last_stats().placement_calls, 0u);
   ASSERT_EQ(first.size(), replay.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].shards, replay[i].shards);
     EXPECT_EQ(first[i].latency_seconds, replay[i].latency_seconds);
     EXPECT_EQ(first[i].resources.plio, replay[i].resources.plio);
   }
-  std::remove(path.c_str());
 }
 
 // ---- Host budget ---------------------------------------------------------

@@ -14,47 +14,52 @@ namespace {
 const BufferKey kA{0, 1};
 const BufferKey kB{0, 2};
 
+// A token for a column of `floats` words carrying `stamp`.
+Buffer column(std::uint64_t floats, std::uint64_t stamp = 0) {
+  return Buffer{floats * sizeof(float), stamp};
+}
+
 TEST(TileMemory, StoresAndLoads) {
   TileMemory mem(1024);
-  mem.store(kA, {1.0f, 2.0f});
+  mem.store(kA, column(2, 7));
   EXPECT_TRUE(mem.contains(kA));
-  EXPECT_EQ(mem.load(kA)[1], 2.0f);
+  EXPECT_EQ(mem.load(kA), column(2, 7));
   EXPECT_EQ(mem.used_bytes(), 8u);
 }
 
 TEST(TileMemory, OverflowThrows) {
   TileMemory mem(16);  // room for 4 floats
-  mem.store(kA, {1, 2, 3, 4});
-  EXPECT_THROW(mem.store(kB, {5.0f}), std::runtime_error);
+  mem.store(kA, column(4, 1));
+  EXPECT_THROW(mem.store(kB, column(1)), std::runtime_error);
   // Replacing an existing buffer of equal size is fine.
-  mem.store(kA, {9, 9, 9, 9});
-  EXPECT_EQ(mem.load(kA)[0], 9.0f);
+  mem.store(kA, column(4, 9));
+  EXPECT_EQ(mem.load(kA).stamp, 9u);
 }
 
 TEST(TileMemory, ReplacingABufferReaccountsItsBytes) {
   TileMemory mem(32);  // room for 8 floats
-  mem.store(kA, {1, 2, 3, 4});
-  mem.store(kA, {1, 2});  // shrink in place
+  mem.store(kA, column(4));
+  mem.store(kA, column(2));  // shrink in place
   EXPECT_EQ(mem.used_bytes(), 8u);
-  mem.store(kB, {1, 2, 3, 4, 5, 6});  // fits only because kA shrank
+  mem.store(kB, column(6));  // fits only because kA shrank
   EXPECT_EQ(mem.used_bytes(), 32u);
   // Growing kA past the budget throws and leaves the accounting alone.
-  EXPECT_THROW(mem.store(kA, {1, 2, 3}), std::runtime_error);
+  EXPECT_THROW(mem.store(kA, column(3)), std::runtime_error);
   EXPECT_EQ(mem.used_bytes(), 32u);
-  EXPECT_EQ(mem.load(kA).size(), 2u);
-  mem.store(kB, {1});  // shrinking kB frees room for kA to grow
-  mem.store(kA, {1, 2, 3, 4, 5, 6, 7});
+  EXPECT_EQ(mem.load(kA).bytes, 8u);
+  mem.store(kB, column(1));  // shrinking kB frees room for kA to grow
+  mem.store(kA, column(7));
   EXPECT_EQ(mem.used_bytes(), 32u);
   EXPECT_EQ(mem.peak_bytes(), 32u);
 }
 
 TEST(TileMemory, EraseReleasesCapacity) {
   TileMemory mem(16);
-  mem.store(kA, {1, 2, 3, 4});
+  mem.store(kA, column(4));
   mem.erase(kA);
   EXPECT_EQ(mem.used_bytes(), 0u);
   EXPECT_EQ(mem.peak_bytes(), 16u);  // peak is sticky
-  mem.store(kB, {1, 2, 3, 4});       // fits again
+  mem.store(kB, column(4));          // fits again
   EXPECT_TRUE(mem.contains(kB));
 }
 
@@ -69,26 +74,25 @@ TEST(TileMemory, MissingBufferThrows) {
 
 TEST(TileMemory, TakeMovesTheBufferOut) {
   TileMemory mem(64);
-  mem.store(kA, {1, 2, 3});
-  mem.store(kB, {4});
-  const std::vector<float> out = mem.take(kA);
-  EXPECT_EQ(out, (std::vector<float>{1, 2, 3}));
+  mem.store(kA, column(3, 5));
+  mem.store(kB, column(1, 6));
+  EXPECT_EQ(mem.take(kA), column(3, 5));
   EXPECT_FALSE(mem.contains(kA));
   EXPECT_EQ(mem.used_bytes(), 4u);
   EXPECT_THROW(mem.take(kA), std::invalid_argument);  // taken once only
-  EXPECT_EQ(mem.load(kB)[0], 4.0f);
+  EXPECT_EQ(mem.load(kB).stamp, 6u);
 }
 
 TEST(TileMemory, PurgingTaskOneKeepsTaskTwelve) {
   // Task 1 must not claim task 12's buffers (the ".t1" vs ".t12" edge of
   // a string key), nor buffers whose column, not task, is 1.
   TileMemory mem(1024);
-  mem.store(BufferKey(1, 3), {1});
-  mem.store(BufferKey(1, 3).shadow(), {1});
-  mem.store(BufferKey(12, 1), {2, 2});
-  mem.store(BufferKey(12, 1).shadow(), {2, 2});
-  mem.store(BufferKey(2, 11), {3, 3, 3});
-  mem.store(BufferKey(1, 12), {4});
+  mem.store(BufferKey(1, 3), column(1));
+  mem.store(BufferKey(1, 3).shadow(), column(1));
+  mem.store(BufferKey(12, 1), column(2));
+  mem.store(BufferKey(12, 1).shadow(), column(2));
+  mem.store(BufferKey(2, 11), column(3));
+  mem.store(BufferKey(1, 12), column(1));
   const std::size_t removed =
       mem.erase_if([](BufferKey key) { return key.task() == 1; });
   EXPECT_EQ(removed, 3u);
@@ -99,7 +103,7 @@ TEST(TileMemory, PurgingTaskOneKeepsTaskTwelve) {
   EXPECT_TRUE(mem.contains(BufferKey(12, 1).shadow()));
   EXPECT_TRUE(mem.contains(BufferKey(2, 11)));
   EXPECT_EQ(mem.used_bytes(), 7u * sizeof(float));
-  EXPECT_EQ(mem.load(BufferKey(2, 11)).size(), 3u);
+  EXPECT_EQ(mem.load(BufferKey(2, 11)).bytes, 3u * sizeof(float));
 }
 
 TEST(BufferKey, LiveAndShadowKeysAreDistinct) {
@@ -116,34 +120,13 @@ TEST(BufferKey, LiveAndShadowKeysAreDistinct) {
   EXPECT_EQ(to_string(shadow), "c7.t3#dma");
   // Both copies of one column coexist in a tile (the DMA 2x cost).
   TileMemory mem(64);
-  mem.store(live, {1, 2});
-  mem.store(shadow, {3, 4});
+  mem.store(live, column(2, 1));
+  mem.store(shadow, column(2, 3));
   EXPECT_EQ(mem.used_bytes(), 16u);
-  EXPECT_EQ(mem.load(live)[0], 1.0f);
-  EXPECT_EQ(mem.load(shadow)[0], 3.0f);
+  EXPECT_EQ(mem.load(live).stamp, 1u);
+  EXPECT_EQ(mem.load(shadow).stamp, 3u);
   mem.erase(shadow);
   EXPECT_TRUE(mem.contains(live));
-}
-
-TEST(TileMemory, BufferPoolReusesReleasedStorageUpToItsBound) {
-  BufferPool pool(2);
-  const std::vector<float> column = {1, 2, 3, 4};
-  std::vector<float> a = pool.copy_of(column);  // empty pool: allocates
-  EXPECT_EQ(a, column);
-  const float* storage = a.data();
-  pool.release(std::move(a));
-  EXPECT_EQ(pool.size(), 1u);
-  const std::vector<float> next = {5, 6, 7};
-  const std::vector<float> b = pool.copy_of(next);
-  EXPECT_EQ(b.data(), storage);  // the released buffer, refilled
-  EXPECT_EQ(b, next);
-  EXPECT_EQ(pool.size(), 0u);
-  // Bounded: releases beyond the capacity (and empty buffers) are freed.
-  pool.release(std::vector<float>(8));
-  pool.release(std::vector<float>(8));
-  pool.release(std::vector<float>(8));
-  pool.release(std::vector<float>{});
-  EXPECT_EQ(pool.size(), 2u);
 }
 
 TEST(Timeline, SerializesOperations) {
@@ -167,7 +150,8 @@ TEST(Channel, TransferTimeFollowsRate) {
 
 TEST(Packet, BytesIncludeHeaderBeat) {
   Packet p;
-  p.payload.assign(128, 0.0f);
+  EXPECT_EQ(p.bytes(), 16u);  // a header beat even without payload
+  p.payload = column(128);
   EXPECT_EQ(p.bytes(), 16u + 512u);
 }
 
@@ -188,11 +172,12 @@ class ArraySimTest : public ::testing::Test {
 };
 
 TEST_F(ArraySimTest, NeighbourMoveTransfersOwnership) {
-  sim_.memory({0, 3}).store(kA, {1, 2, 3});
+  sim_.memory({0, 3}).store(kA, column(3, 42));
   sim_.neighbour_move({0, 3}, {1, 3}, kA);
   EXPECT_FALSE(sim_.memory({0, 3}).contains(kA));
-  EXPECT_TRUE(sim_.memory({1, 3}).contains(kA));
+  EXPECT_EQ(sim_.memory({1, 3}).load(kA), column(3, 42));
   EXPECT_EQ(sim_.stats().neighbour_transfers, 1u);
+  EXPECT_EQ(sim_.utilization(1.0).total_neighbour_bytes(), 12u);
 }
 
 TEST_F(ArraySimTest, NeighbourMoveRejectsNonNeighbours) {
@@ -200,40 +185,23 @@ TEST_F(ArraySimTest, NeighbourMoveRejectsNonNeighbours) {
 }
 
 TEST_F(ArraySimTest, DmaMoveDuplicatesBuffer) {
-  sim_.memory({0, 0}).store(kA, {1, 2, 3, 4});
+  sim_.memory({0, 0}).store(kA, column(4, 11));
   const double done = sim_.dma_move({0, 0}, {5, 5}, kA, 0.0);
   EXPECT_GT(done, 0.0);
-  // Shadow copy coexists with the original: the 2x memory cost.
+  // Shadow copy coexists with the original: the 2x memory cost, counted
+  // by bytes, and the shadow carries the original's stamp.
   EXPECT_TRUE(sim_.memory({0, 0}).contains(kA));
-  EXPECT_TRUE(sim_.memory({5, 5}).contains(kA.shadow()));
+  EXPECT_EQ(sim_.memory({5, 5}).load(kA.shadow()), column(4, 11));
+  EXPECT_EQ(sim_.memory({0, 0}).used_bytes(), 16u);
+  EXPECT_EQ(sim_.memory({5, 5}).used_bytes(), 16u);
   EXPECT_EQ(sim_.stats().dma_transfers, 1u);
   EXPECT_EQ(sim_.stats().dma_bytes, 16u);
-}
-
-TEST_F(ArraySimTest, DmaShadowReusesTheReleasedOriginal) {
-  // Resolving a DMA frees the producer's original into the source tile's
-  // spare pool; the tile's next shadow is copied into that storage.
-  const BufferKey kB(0, 9);
-  sim_.memory({0, 0}).store(kA, {1, 2, 3, 4});
-  sim_.memory({0, 0}).store(kB, {5, 6, 7, 8});
-  const float* original = sim_.memory({0, 0}).load(kA).data();
-  sim_.dma_move({0, 0}, {5, 5}, kA, 0.0);
-  sim_.release({0, 0}, kA);
-  EXPECT_FALSE(sim_.memory({0, 0}).contains(kA));
-  EXPECT_EQ(sim_.memory({0, 0}).used_bytes(), 16u);  // kB only
-  sim_.release({0, 0}, kA);  // absent: no-op
-  sim_.dma_move({0, 0}, {5, 5}, kB, 0.0);
-  const std::vector<float>& shadow = sim_.memory({5, 5}).load(kB.shadow());
-  EXPECT_EQ(shadow.data(), original);
-  EXPECT_EQ(shadow, (std::vector<float>{5, 6, 7, 8}));
-  EXPECT_EQ(sim_.memory({5, 5}).load(kA.shadow()),
-            (std::vector<float>{1, 2, 3, 4}));
 }
 
 TEST_F(ArraySimTest, DmaChargesSetupPlusTransfer) {
   // 1 KB over the DMA engine at 4 B/cycle @ 1.25 GHz plus the 300-cycle
   // buffer-descriptor/lock setup.
-  sim_.memory({0, 0}).store(kA, std::vector<float>(256, 1.0f));
+  sim_.memory({0, 0}).store(kA, column(256));
   const double done = sim_.dma_move({0, 0}, {3, 3}, kA, 0.0);
   EXPECT_NEAR(done, sim_.dma_setup_seconds() + 1024.0 / (4.0 * 1.25e9), 1e-12);
   EXPECT_GT(sim_.dma_setup_seconds(), 0.0);
@@ -248,12 +216,14 @@ TEST_F(ArraySimTest, TimingOnlyDmaUsesByteHint) {
 TEST_F(ArraySimTest, StreamPacketStoresPayloadAndSerializes) {
   Packet p;
   p.header = {0, 7, 0};
-  p.payload.assign(64, 2.0f);
+  p.payload = column(64, 5);
   const double t1 = sim_.stream_packet({2, 2}, p, 0.0, true);
   const double t2 = sim_.stream_packet({2, 2}, p, 0.0, false);
   EXPECT_GT(t2, t1);  // same port: serialized
-  EXPECT_TRUE(sim_.memory({2, 2}).contains(BufferKey(0, 7)));
+  EXPECT_NEAR(t2 - t1, (16.0 + 256.0) / (4.0 * 1.25e9), 1e-15);
+  EXPECT_EQ(sim_.memory({2, 2}).load(BufferKey(0, 7)), column(64, 5));
   EXPECT_EQ(sim_.stats().stream_packets, 2u);
+  EXPECT_EQ(sim_.stats().stream_bytes, 2u * (16u + 256u));
 }
 
 TEST_F(ArraySimTest, KernelsAccumulateUtilization) {
@@ -272,8 +242,8 @@ TEST_F(ArraySimTest, ResetTimeClearsTimelinesButKeepsStats) {
 }
 
 TEST_F(ArraySimTest, PeakMemoryAggregates) {
-  sim_.memory({0, 0}).store(kA, std::vector<float>(100, 0.0f));
-  sim_.memory({3, 3}).store(kB, std::vector<float>(50, 0.0f));
+  sim_.memory({0, 0}).store(kA, column(100));
+  sim_.memory({3, 3}).store(kB, column(50));
   sim_.memory({0, 0}).erase(kA);
   EXPECT_EQ(sim_.peak_memory_bytes(), 600u);
 }
