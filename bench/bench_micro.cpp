@@ -6,9 +6,11 @@
 #include "accel/accelerator.hpp"
 #include "accel/dataflow.hpp"
 #include "accel/kernels.hpp"
+#include "linalg/ops.hpp"
 #include "common/rng.hpp"
 #include "dse/explorer.hpp"
 #include "jacobi/ordering.hpp"
+#include "jacobi/rotation.hpp"
 #include "linalg/generators.hpp"
 #include "perfmodel/perf_model.hpp"
 
@@ -30,8 +32,14 @@ void BM_OrthKernel(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   auto a = linalg::random_gaussian(m, 2, rng).cast<float>();
+  float aii = linalg::dot<float>(a.col(0), a.col(0));
+  float ajj = linalg::dot<float>(a.col(1), a.col(1));
+  const accel::OrthPair pair{a.col(0).data(), a.col(1).data(), &aii, &ajj};
+  accel::OrthKernelResult r;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(accel::orth_kernel(a.col(0), a.col(1)));
+    accel::orth_layer(std::span<const accel::OrthPair>(&pair, 1), m,
+                      std::span<accel::OrthKernelResult>(&r, 1));
+    benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m));
 }

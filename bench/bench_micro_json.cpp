@@ -1,10 +1,11 @@
 // Machine-readable micro-benchmark emitter.
 //
 // Writes BENCH_micro.json (path overridable via argv[1]) with the hot-path
-// kernel costs (ns/op), the Hestenes sweep rate, and the 16-task batch
-// wall-clock at 1 thread vs all hardware threads -- the perf trajectory
-// future PRs compare against. Timers are hand-rolled steady_clock loops so
-// the numbers do not depend on the google-benchmark harness.
+// kernel costs (ns/op), one functional block pair, the Hestenes sweep
+// rate, and the 16-task batch wall-clock at 1 thread vs all hardware
+// threads -- the perf trajectory future PRs compare against. Timers are
+// hand-rolled steady_clock loops so the numbers do not depend on the
+// google-benchmark harness.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/accelerator.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
@@ -105,16 +107,37 @@ int main(int argc, char** argv) {
   const auto time_kernels = [&](const std::string& suffix) {
     json.number("dot_n512" + suffix,
                 time_ns([&] { sinkf = sinkf + linalg::dot(cx, cy); }));
-    json.number("dot3_n512" + suffix, time_ns([&] {
-                  const auto g = linalg::dot3(cx, cy);
-                  sinkf = sinkf + g.aii + g.ajj + g.aij;
-                }));
     json.number("apply_rotation_n512" + suffix, time_ns([&] {
                   linalg::apply_rotation(xw.col(0), yw.col(0), 0.8f, 0.6f);
                   sinkf = sinkf + xw.col(0)[0];
                 }));
   };
   time_kernels("_ns");
+  // One orth-layer's dots: k pairs through one dot_pairs call against the
+  // same k pairs as k separate dot calls (the per-pair path it replaced).
+  const auto pair_cols = random_matrix(256, 16, 14);
+  const auto time_layer_dots = [&](std::size_t k, std::size_t n) {
+    const float* left[8];
+    const float* right[8];
+    for (std::size_t p = 0; p < k; ++p) {
+      left[p] = pair_cols.col(2 * p).data();
+      right[p] = pair_cols.col(2 * p + 1).data();
+    }
+    float out[8];
+    const std::string tag = "_k" + std::to_string(k) + "_n" + std::to_string(n);
+    json.number("dot_pairs" + tag + "_ns", time_ns([&] {
+                  simd::active().dot_pairs(left, right, k, n, out);
+                  sinkf = sinkf + out[k - 1];
+                }));
+    json.number("dot_separate" + tag + "_ns", time_ns([&] {
+                  for (std::size_t p = 0; p < k; ++p) {
+                    out[p] = simd::active().dot(left[p], right[p], n);
+                  }
+                  sinkf = sinkf + out[k - 1];
+                }));
+  };
+  time_layer_dots(4, 64);
+  time_layer_dots(8, 256);
   // The same kernels pinned to the scalar target: the dispatch gain is
   // the ratio of the two, measured in one process on one host.
   {
@@ -122,6 +145,26 @@ int main(int argc, char** argv) {
         simd::set_active_for_testing(&simd::scalar_kernels());
     time_kernels("_scalar_ns");
     simd::set_active_for_testing(prev);
+  }
+
+  // ---- one functional block pair at n = 64 --------------------------------
+  // Tx, the (2k-1)-layer orth pipeline with its inter-layer moves, and Rx
+  // of one block pair on the accelerator svd() plans for 64 x 64: the
+  // simulator's per-event bookkeeping plus the layer math.
+  {
+    accel::HeteroSvdAccelerator acc(planned_config(64, 64, 1, SvdOptions{}));
+    acc.reset_timelines();
+    auto b = random_matrix(64, acc.config().padded_cols(), 15);
+    std::vector<float> colnorm(b.cols());
+    for (std::size_t c = 0; c < b.cols(); ++c) {
+      colnorm[c] = linalg::dot<float>(b.col(c), b.col(c));
+    }
+    accel::SystemModule system(0.0);
+    json.number("block_pair_n64_ns", time_ns([&] {
+                  const auto done = acc.execute_block_pair(
+                      0, 0, 0, 1, 0.0, &b, &colnorm, system);
+                  sinkf = sinkf + static_cast<float>(done.done_u);
+                }));
   }
 
   // ---- Hestenes sweep rate ------------------------------------------------

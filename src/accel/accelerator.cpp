@@ -4,24 +4,13 @@
 #include <cmath>
 #include <numeric>
 
-#include "accel/kernels.hpp"
 #include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "jacobi/block.hpp"
 #include "jacobi/convergence.hpp"
-#include "jacobi/movement.hpp"
 #include "linalg/ops.hpp"
 
 namespace hsvd::accel {
-
-namespace {
-
-versal::BufferKey column_key(int task_id, int global_col) {
-  return versal::BufferKey(static_cast<std::uint32_t>(task_id),
-                           static_cast<std::uint32_t>(global_col));
-}
-
-}  // namespace
 
 HeteroSvdAccelerator::HeteroSvdAccelerator(const HeteroSvdConfig& config)
     : config_(config),
@@ -48,39 +37,26 @@ void HeteroSvdAccelerator::rebuild() {
   array_->attach_faults(faults_);
   array_->attach_observer(obs_);
 
-  schedule_ = jacobi::EngineSchedule{};
-  slot_schedules_.clear();
   dataflows_.clear();
-  slot_routes_.clear();
+  programs_.clear();
   channels_.clear();
 
   // The shifting ring ordering aligns its shifts with the physical parity
   // of the first orth row, which can differ between vertically stacked
-  // task slots; every slot therefore owns its schedule and dataflow.
-  // (All slots share the same pair coverage, only slot assignment moves.)
+  // task slots; every slot therefore owns its schedule, dataflow and
+  // program. (All slots share the same pair coverage, only slot
+  // assignment moves.)
   const int pair_cols = config_.pair_width();
   for (const auto& task : placement_.tasks) {
     const int first_row = task.orth.front().front().row;
-    auto schedule =
+    const auto schedule =
         jacobi::make_schedule(config_.ordering, pair_cols, first_row % 2);
     dataflows_.push_back(build_dataflow(schedule, task, geo,
                                         config_.relocated_outputs
                                             ? MemoryStrategy::kRelocated
                                             : MemoryStrategy::kNaive));
-    // Where each local column of a block pair enters (its round-0 engine
-    // slot, the Tx forwarding key) and leaves (the last-layer tile Rx
-    // drains it from): fixed by the schedule and the placement.
-    const auto round0 = jacobi::slot_map(schedule, 0);
-    const auto last = jacobi::slot_map(schedule, schedule.size() - 1);
-    SlotRoutes routes;
-    for (std::size_t c = 0; c < round0.size(); ++c) {
-      routes.tx_dest.push_back(static_cast<std::uint32_t>(round0[c].slot));
-      routes.rx_tile.push_back(
-          task.orth[schedule.size() - 1][static_cast<std::size_t>(last[c].slot)]);
-    }
-    slot_routes_.push_back(std::move(routes));
-    if (schedule_.empty()) schedule_ = schedule;
-    slot_schedules_.push_back(std::move(schedule));
+    programs_.push_back(
+        compile_slot_program(schedule, task, dataflows_.back(), geo));
   }
   block_rounds_ = jacobi::block_pair_rounds(config_.blocks());
 
@@ -101,7 +77,12 @@ void HeteroSvdAccelerator::rebuild() {
         nullptr,
         nullptr,
         std::vector<int>(static_cast<std::size_t>(2 * config_.p_eng)),
-        std::vector<double>(static_cast<std::size_t>(2 * config_.p_eng))});
+        std::vector<double>(static_cast<std::size_t>(2 * config_.p_eng)),
+        std::vector<versal::ColumnToken>(
+            static_cast<std::size_t>(2 * config_.p_eng)),
+        std::vector<OrthPair>(static_cast<std::size_t>(config_.p_eng)),
+        std::vector<OrthKernelResult>(static_cast<std::size_t>(config_.p_eng)),
+        0});
     // The dynamic-forwarding rule of section III-C: dest_id e routes to
     // engine e of the slot's first orth-layer.
     versal::ForwardingTable forwarding;
@@ -109,8 +90,8 @@ void HeteroSvdAccelerator::rebuild() {
     for (std::size_t e = 0; e < layer0.size(); ++e) {
       forwarding.bind(static_cast<std::uint32_t>(e), layer0[e]);
     }
-    ch->sender = std::make_unique<Sender>(ch->tx[0], ch->tx[1],
-                                          std::move(forwarding), *array_);
+    ch->sender =
+        std::make_unique<Sender>(ch->tx[0], ch->tx[1], forwarding, *array_);
     ch->receiver =
         std::make_unique<Receiver>(ch->rx[0], ch->rx[1], array_.get());
     // A degraded-link fault scales the slot's PLIO bandwidth for the
@@ -169,15 +150,8 @@ const DataflowPlan& HeteroSvdAccelerator::dataflow(std::size_t task_slot) const 
 }
 
 void HeteroSvdAccelerator::purge_task_buffers(int slot, int task_id) {
-  const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
-  const auto drop = [task_id](versal::BufferKey key) {
-    return key.task() == static_cast<std::uint32_t>(task_id);
-  };
-  for (const auto& layer : task.orth) {
-    for (const auto& tile : layer) array_->memory(tile).erase_if(drop);
-  }
-  for (const auto& tile : task.mem) array_->memory(tile).erase_if(drop);
-  for (const auto& tile : task.norm) array_->memory(tile).erase_if(drop);
+  array_->purge(channels_[static_cast<std::size_t>(slot)]->columns,
+                static_cast<std::uint32_t>(task_id));
 }
 
 double HeteroSvdAccelerator::stage_from_ddr(int slot, double when,
@@ -214,109 +188,113 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   const bool functional = b != nullptr;
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
-  const int layers = config_.orth_layers();
-  const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
-  const auto& schedule = slot_schedules_[static_cast<std::size_t>(slot)];
-  const auto& plan = dataflows_[static_cast<std::size_t>(slot)];
-  const auto& routes = slot_routes_[static_cast<std::size_t>(slot)];
+  const SlotProgram& program = programs_[static_cast<std::size_t>(slot)];
+  const versal::ArrayGeometry& geo = array_->geometry();
   auto& ch = *channels_[static_cast<std::size_t>(slot)];
-  const double col_bytes = static_cast<double>(m) * sizeof(float);
+  const std::uint64_t col_bytes = m * sizeof(float);
   const double t_orth = kernels_.orth_seconds(m);
+  std::vector<int>& global = ch.global;
+  std::vector<double>& arrival = ch.arrival;
+  std::vector<versal::ColumnToken>& columns = ch.columns;
 
   // ---- Tx: both blocks of the pair over their own PLIOs ---------
-  // Local column c (0..2k-1): block u columns then block v columns.
-  std::vector<int>& global = ch.global;
-  for (int i = 0; i < k; ++i) {
-    global[static_cast<std::size_t>(i)] = bu * k + i;
-    global[static_cast<std::size_t>(k + i)] = bv * k + i;
-  }
-  // Every Tx below sets its column's arrival and gives the column a fresh
-  // provenance stamp, first_stamp + c; the Rx boundary checks the stamp
-  // it drains against it to catch in-fabric corruption.
-  std::vector<double>& arrival = ch.arrival;
+  // Every Tx sets its column's arrival, starts the column's token afresh
+  // and gives the column a provenance stamp, first_stamp + c; the Rx
+  // boundary checks the stamp it drains against it to catch in-fabric
+  // corruption.
   const std::uint64_t first_stamp = ch.next_stamp;
   ch.next_stamp += static_cast<std::uint64_t>(2 * k);
   for (int c = 0; c < 2 * k; ++c) {
-    const versal::Buffer column{m * sizeof(float),
-                                first_stamp + static_cast<std::uint64_t>(c)};
-    arrival[static_cast<std::size_t>(c)] = ch.sender->send_column(
-        c < k ? 0 : 1, routes.tx_dest[static_cast<std::size_t>(c)],
-        static_cast<std::uint32_t>(global[static_cast<std::size_t>(c)]),
-        static_cast<std::uint32_t>(task_id), launch, column, functional);
+    const auto lc = static_cast<std::size_t>(c);
+    global[lc] = c < k ? bu * k + c : bv * k + (c - k);
+    columns[lc] = versal::ColumnToken(
+        versal::BufferKey(static_cast<std::uint32_t>(task_id),
+                          static_cast<std::uint32_t>(global[lc])));
+    arrival[lc] = ch.sender->send_column(
+        c < k ? 0 : 1, program.tx_dest[lc],
+        static_cast<std::uint32_t>(global[lc]),
+        static_cast<std::uint32_t>(task_id), launch,
+        versal::Buffer{col_bytes, first_stamp + static_cast<std::uint64_t>(c)},
+        functional ? &columns[lc] : nullptr);
   }
 
   // ---- Orthogonalization through the layer pipeline -------------
-  for (int l = 0; l < layers; ++l) {
-    const auto& row = schedule[static_cast<std::size_t>(l)];
-    for (int e = 0; e < k; ++e) {
-      const auto& pair = row[static_cast<std::size_t>(e)];
-      const versal::TileCoord tile =
-          task.orth[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)];
-      const double in_ready =
-          std::max(arrival[static_cast<std::size_t>(pair.left)],
-                   arrival[static_cast<std::size_t>(pair.right)]);
+  for (int l = 0; l < program.layers; ++l) {
+    const auto base = static_cast<std::size_t>(l * k);
+    if (functional) {
+      // The layer's k engines rotate disjoint column pairs, so its math
+      // runs as one step ahead of the per-engine events below. A task
+      // that fails at one of those detection points discards `b`, so
+      // the rotations past the failing engine are never observed.
+      for (std::size_t e = 0; e < static_cast<std::size_t>(k); ++e) {
+        const jacobi::ColumnPair& pair = program.pairs[base + e];
+        const auto gl = static_cast<std::size_t>(
+            global[static_cast<std::size_t>(pair.left)]);
+        const auto gr = static_cast<std::size_t>(
+            global[static_cast<std::size_t>(pair.right)]);
+        ch.layer_pairs[e] = {b->col(gl).data(), b->col(gr).data(),
+                             &(*colnorm)[gl], &(*colnorm)[gr]};
+      }
+      orth_layer(ch.layer_pairs, m, ch.layer_results);
+    }
+    for (std::size_t e = 0; e < static_cast<std::size_t>(k); ++e) {
+      const jacobi::ColumnPair& pair = program.pairs[base + e];
+      const auto left = static_cast<std::size_t>(pair.left);
+      const auto right = static_cast<std::size_t>(pair.right);
+      const int tile = program.orth_tile[base + e];
+      const double in_ready = std::max(arrival[left], arrival[right]);
       const double end = array_->run_kernel(tile, in_ready, t_orth);
       if (!std::isfinite(end)) {
-        throw FaultDetected(cat("core ", versal::to_string(tile),
+        const versal::TileCoord at = geo.coord_of(tile);
+        throw FaultDetected(cat("core ", versal::to_string(at),
                                 " hung during orthogonalization"),
-                            tile.row, tile.col, in_ready);
+                            at.row, at.col, in_ready);
       }
       if (functional) {
-        const int gl = global[static_cast<std::size_t>(pair.left)];
-        const int gr = global[static_cast<std::size_t>(pair.right)];
-        auto& mem = array_->memory(tile);
-        if (!mem.contains(column_key(task_id, gl)) ||
-            !mem.contains(column_key(task_id, gr))) {
+        if (columns[left].live_tile != tile ||
+            columns[right].live_tile != tile) {
+          const versal::TileCoord at = geo.coord_of(tile);
           throw FaultDetected(
-              cat("tile ", versal::to_string(tile),
+              cat("tile ", versal::to_string(at),
                   " is missing an input column (payload lost in "
                   "transit)"),
-              tile.row, tile.col, end);
+              at.row, at.col, end);
         }
-        const auto r = orth_kernel(
-            b->col(static_cast<std::size_t>(gl)),
-            b->col(static_cast<std::size_t>(gr)),
-            (*colnorm)[static_cast<std::size_t>(gl)],
-            (*colnorm)[static_cast<std::size_t>(gr)]);
-        if (!std::isfinite(r.coherence)) {
+        const double coherence = ch.layer_results[e].coherence;
+        if (!std::isfinite(coherence)) {
+          const versal::TileCoord at = geo.coord_of(tile);
           throw FaultDetected(
-              cat("orth kernel on tile ", versal::to_string(tile),
+              cat("orth kernel on tile ", versal::to_string(at),
                   " produced a non-finite coherence"),
-              tile.row, tile.col, end);
+              at.row, at.col, end);
         }
-        system.observe_pair(r.coherence);
+        system.observe_pair(coherence);
       }
-      arrival[static_cast<std::size_t>(pair.left)] = end;
-      arrival[static_cast<std::size_t>(pair.right)] = end;
+      arrival[left] = end;
+      arrival[right] = end;
     }
-    if (l + 1 < layers) {
-      for (const auto& mv : plan.transitions[static_cast<std::size_t>(l)].moves) {
-        const versal::BufferKey key =
-            column_key(task_id, global[static_cast<std::size_t>(mv.column)]);
-        if (!mv.is_dma) {
-          array_->neighbour_move(mv.src, mv.dst, key,
-                                 static_cast<std::uint64_t>(col_bytes));
-        } else {
-          const double done = array_->dma_move(
-              mv.src, mv.dst, key,
-              arrival[static_cast<std::size_t>(mv.column)],
-              static_cast<std::uint64_t>(col_bytes));
-          arrival[static_cast<std::size_t>(mv.column)] = done;
-          if (functional) {
-            // Resolve the DMA shadow: the consumer's copy becomes the
-            // live buffer and the producer's original is erased.
-            auto& dst_mem = array_->memory(mv.dst);
-            if (!dst_mem.contains(key.shadow())) {
-              throw FaultDetected(
-                  cat("DMA of ", versal::to_string(key), " out of ",
-                      versal::to_string(mv.src), " lost its payload"),
-                  mv.src.row, mv.src.col, done);
-            }
-            const versal::Buffer shadow = dst_mem.take(key.shadow());
-            array_->memory(mv.src).erase(key);
-            dst_mem.store(key, shadow);
-          }
-        }
+    if (l + 1 == program.layers) break;
+    const auto first = program.move_begin[static_cast<std::size_t>(l)];
+    const auto last = program.move_begin[static_cast<std::size_t>(l) + 1];
+    for (std::size_t i = first; i < last; ++i) {
+      const SlotProgram::Move& mv = program.moves[i];
+      const auto lc = static_cast<std::size_t>(mv.column);
+      versal::ColumnToken& column = columns[lc];
+      if (!mv.is_dma) {
+        array_->neighbour_move(mv.src, mv.dst, column, col_bytes);
+        continue;
+      }
+      const double done =
+          array_->dma_move(mv.src, mv.dst, column, arrival[lc], col_bytes);
+      arrival[lc] = done;
+      // Resolve the DMA shadow: the consumer's copy becomes the live
+      // buffer and the producer's original is released.
+      if (functional && !array_->resolve_dma(mv.src, mv.dst, column)) {
+        const versal::TileCoord src = geo.coord_of(mv.src);
+        throw FaultDetected(
+            cat("DMA of ", versal::to_string(column.key), " out of ",
+                versal::to_string(src), " lost its payload"),
+            src.row, src.col, done);
       }
     }
   }
@@ -324,27 +302,30 @@ HeteroSvdAccelerator::PairCompletion HeteroSvdAccelerator::execute_block_pair(
   // ---- Rx: updated columns back into the PL buffers --------------
   PairCompletion completion;
   for (int c = 0; c < 2 * k; ++c) {
+    const auto lc = static_cast<std::size_t>(c);
     const double done = ch.receiver->receive_column(
-        c < k ? 0 : 1, arrival[static_cast<std::size_t>(c)], col_bytes);
+        c < k ? 0 : 1, arrival[lc], static_cast<double>(col_bytes));
     if (functional) {
-      const versal::TileCoord tile = routes.rx_tile[static_cast<std::size_t>(c)];
-      const versal::BufferKey key =
-          column_key(task_id, global[static_cast<std::size_t>(c)]);
-      auto& mem = array_->memory(tile);
-      if (!mem.contains(key)) {
-        throw FaultDetected(cat("column ", versal::to_string(key),
-                                " never reached tile ",
-                                versal::to_string(tile), " for Rx"),
-                            tile.row, tile.col, done);
+      const int tile = program.rx_tile[lc];
+      versal::ColumnToken& column = columns[lc];
+      if (column.live_tile != tile) {
+        const versal::TileCoord at = geo.coord_of(tile);
+        throw FaultDetected(cat("column ", versal::to_string(column.key),
+                                " never reached tile ", versal::to_string(at),
+                                " for Rx"),
+                            at.row, at.col, done);
       }
       // Rx boundary integrity check: the fabric only routed this
       // buffer, so its stamp must still be the one the sender issued; a
       // mismatch is an in-fabric SEU.
-      if (mem.take(key).stamp != first_stamp + static_cast<std::uint64_t>(c)) {
-        throw FaultDetected(cat("checksum mismatch on ", versal::to_string(key),
-                                " at tile ", versal::to_string(tile),
+      if (array_->take(tile, column).stamp !=
+          first_stamp + static_cast<std::uint64_t>(c)) {
+        const versal::TileCoord at = geo.coord_of(tile);
+        throw FaultDetected(cat("checksum mismatch on ",
+                                versal::to_string(column.key), " at tile ",
+                                versal::to_string(at),
                                 " (corrupted in the fabric)"),
-                            tile.row, tile.col, done);
+                            at.row, at.col, done);
       }
     }
     (c < k ? completion.done_u : completion.done_v) =
@@ -359,7 +340,7 @@ double HeteroSvdAccelerator::execute_norm_block(
   const bool functional = b != nullptr;
   const int k = config_.p_eng;
   const std::size_t m = config_.rows;
-  const auto& task = placement_.tasks[static_cast<std::size_t>(slot)];
+  const SlotProgram& program = programs_[static_cast<std::size_t>(slot)];
   auto& ch = *channels_[static_cast<std::size_t>(slot)];
   const double col_bytes = static_cast<double>(m) * sizeof(float);
   const double block_bytes = col_bytes * k;
@@ -377,8 +358,9 @@ double HeteroSvdAccelerator::execute_norm_block(
   }
   double blk_done = 0.0;
   for (int i = 0; i < k; ++i) {
-    const versal::TileCoord tile = task.norm[static_cast<std::size_t>(i)];
-    const double end = array_->run_kernel(tile, tx_done, t_norm);
+    const int index = program.norm_tile[static_cast<std::size_t>(i)];
+    const versal::TileCoord tile = array_->geometry().coord_of(index);
+    const double end = array_->run_kernel(index, tx_done, t_norm);
     if (!std::isfinite(end)) {
       throw FaultDetected(cat("core ", versal::to_string(tile),
                               " hung during normalization"),

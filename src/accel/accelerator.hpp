@@ -20,6 +20,7 @@
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "accel/dataflow.hpp"
+#include "accel/kernels.hpp"
 #include "accel/placement.hpp"
 #include "accel/pl_modules.hpp"
 #include "linalg/matrix.hpp"
@@ -156,7 +157,7 @@ class HeteroSvdAccelerator {
   double execute_norm_block(int slot, int blk, double ready,
                             linalg::MatrixF* b, std::vector<float>* sigma);
 
-  // Releases every buffer a failed task left in its slot's tile
+  // Releases every column token a failed task left in its slot's tile
   // memories, so later tasks on the same tiles start clean.
   void purge_task_buffers(int slot, int task_id);
 
@@ -168,6 +169,8 @@ class HeteroSvdAccelerator {
   bool mask_tiles(const std::vector<versal::TileCoord>& bad);
 
   versal::NocModel& noc() { return noc_; }
+  // The array simulator (tile ledgers, timelines, counters), read-only.
+  const versal::AieArraySim& array() const { return *array_; }
   // HLS loop-switching overhead charged at each block-pair launch.
   double hls_overhead_seconds() const { return hls_overhead_s_; }
   // Simulator counters / per-tile tallies of this array (a sharded run
@@ -208,25 +211,19 @@ class HeteroSvdAccelerator {
   perf::AieKernelModel kernels_;
   perf::PlioModel plio_model_;
   std::unique_ptr<versal::AieArraySim> array_;
-  jacobi::EngineSchedule schedule_;                     // slot 0's schedule
-  std::vector<jacobi::EngineSchedule> slot_schedules_;  // per task slot
-  std::vector<DataflowPlan> dataflows_;                 // per task slot
-  // Per task slot, indexed by a block pair's local column (block u's k
-  // columns, then block v's): the Tx forwarding key (round-0 engine slot)
-  // and the last orth-layer tile Rx drains the column from.
-  struct SlotRoutes {
-    std::vector<std::uint32_t> tx_dest;
-    std::vector<versal::TileCoord> rx_tile;
-  };
-  std::vector<SlotRoutes> slot_routes_;
+  std::vector<DataflowPlan> dataflows_;  // per task slot
+  // Per task slot: the block-pair program compiled from its placement,
+  // schedule and dataflow (DESIGN.md section 4).
+  std::vector<SlotProgram> programs_;
   int next_task_id_ = 0;
   std::vector<std::vector<std::pair<int, int>>> block_rounds_;
   // Per task slot: 2 Tx + 2 Rx orth channels, 1 Tx + 1 Rx norm channel
   // (6 PLIOs, Table I), plus the PL modules of Fig. 2 wired to them. The
   // slot's chain also owns (so nothing here is synchronized) the counter
-  // its Tx stamps are drawn from and a block pair's working state: per
-  // local column, its global index and arrival time, sized 2 * P_eng once
-  // and overwritten by every pair.
+  // its Tx stamps are drawn from and a block pair's working state, sized
+  // once and overwritten by every pair: per local column its global
+  // index, arrival time and column token (the slot's column table), and
+  // per engine the layer kernel's pair and result.
   struct SlotChannels {
     versal::Channel tx[2];
     versal::Channel rx[2];
@@ -236,6 +233,9 @@ class HeteroSvdAccelerator {
     std::unique_ptr<Receiver> receiver;
     std::vector<int> global;
     std::vector<double> arrival;
+    std::vector<versal::ColumnToken> columns;
+    std::vector<OrthPair> layer_pairs;
+    std::vector<OrthKernelResult> layer_results;
     std::uint64_t next_stamp = 0;
   };
   std::vector<std::unique_ptr<SlotChannels>> channels_;

@@ -71,6 +71,48 @@ DataflowPlan build_dataflow(const jacobi::EngineSchedule& schedule,
   return plan;
 }
 
+SlotProgram compile_slot_program(const jacobi::EngineSchedule& schedule,
+                                 const TaskPlacement& task,
+                                 const DataflowPlan& plan,
+                                 const versal::ArrayGeometry& geometry) {
+  const std::size_t layers = schedule.size();
+  HSVD_REQUIRE(layers >= 1 && task.orth.size() == layers,
+               "placement layer count must match the schedule");
+  HSVD_REQUIRE(plan.transitions.size() + 1 == layers,
+               "dataflow transition count must match the schedule");
+  SlotProgram program;
+  program.engines = static_cast<int>(schedule.front().size());
+  program.layers = static_cast<int>(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
+    HSVD_REQUIRE(schedule[l].size() == task.orth[l].size(),
+                 "placement engine count must match the schedule");
+    for (std::size_t e = 0; e < schedule[l].size(); ++e) {
+      program.orth_tile.push_back(geometry.index_of(task.orth[l][e]));
+      program.pairs.push_back(schedule[l][e]);
+    }
+  }
+  for (const auto& transition : plan.transitions) {
+    program.move_begin.push_back(program.moves.size());
+    for (const auto& mv : transition.moves) {
+      if (!mv.is_dma) geometry.require_neighbour_access(mv.src, mv.dst);
+      program.moves.push_back({mv.column, geometry.index_of(mv.src),
+                               geometry.index_of(mv.dst), mv.is_dma});
+    }
+  }
+  program.move_begin.push_back(program.moves.size());
+  const auto round0 = jacobi::slot_map(schedule, 0);
+  const auto last = jacobi::slot_map(schedule, layers - 1);
+  for (std::size_t c = 0; c < round0.size(); ++c) {
+    program.tx_dest.push_back(static_cast<std::uint32_t>(round0[c].slot));
+    program.rx_tile.push_back(geometry.index_of(
+        task.orth[layers - 1][static_cast<std::size_t>(last[c].slot)]));
+  }
+  for (const auto& tile : task.norm) {
+    program.norm_tile.push_back(geometry.index_of(tile));
+  }
+  return program;
+}
+
 int count_sweep_dma(jacobi::OrderingKind kind, int k, MemoryStrategy strategy) {
   HSVD_REQUIRE(k >= 1, "engine count must be positive");
   const int layers = 2 * k - 1;

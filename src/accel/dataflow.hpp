@@ -11,6 +11,8 @@
 //   3. the physical placement (row parity mirroring; band crossings).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "accel/placement.hpp"
@@ -57,6 +59,45 @@ DataflowPlan build_dataflow(const jacobi::EngineSchedule& schedule,
                             const TaskPlacement& task,
                             const versal::ArrayGeometry& geometry,
                             MemoryStrategy strategy);
+
+// A task slot's block-pair program: everything about a block pair's run
+// that the placement, the schedule and the classified dataflow fix, as
+// flat arrays of array tile indices (ArrayGeometry::index_of), so the
+// accelerator executes a pair without re-deriving any of it. Local
+// column c (0..2k-1) is block u's column c for c < k, else block v's
+// column c - k.
+struct SlotProgram {
+  struct Move {
+    int column = 0;  // local column
+    int src = 0;     // tile indices
+    int dst = 0;
+    bool is_dma = false;
+  };
+  int engines = 0;  // k = P_eng
+  int layers = 0;   // 2k - 1
+  // Per layer, engine-major: [layer * engines + engine].
+  std::vector<int> orth_tile;
+  std::vector<jacobi::ColumnPair> pairs;  // local columns
+  // Moves of the transition out of layer l (l < layers - 1) are
+  // moves[move_begin[l] .. move_begin[l + 1]).
+  std::vector<Move> moves;
+  std::vector<std::size_t> move_begin;
+  // Per local column: the Tx forwarding key (its round-0 engine slot)
+  // and the last-layer tile Rx drains it from.
+  std::vector<std::uint32_t> tx_dest;
+  std::vector<int> rx_tile;
+  // Per engine: the norm-AIE of the normalization stage.
+  std::vector<int> norm_tile;
+};
+
+// Compiles the program of one task slot. Every neighbour move of `plan`
+// is checked for adjacency here, once (ArrayGeometry::
+// require_neighbour_access: throws std::invalid_argument "... are not
+// neighbour-accessible").
+SlotProgram compile_slot_program(const jacobi::EngineSchedule& schedule,
+                                 const TaskPlacement& task,
+                                 const DataflowPlan& plan,
+                                 const versal::ArrayGeometry& geometry);
 
 // Analysis helper for Fig. 3: places the full (2k-1) x k ordering on an
 // idealized array tall enough to avoid banding, and returns the DMA count

@@ -44,15 +44,26 @@ double DataArrangement::all_blocks_ready() const {
 }
 
 Sender::Sender(versal::Channel& tx0, versal::Channel& tx1,
-               versal::ForwardingTable forwarding, versal::AieArraySim& array)
-    : tx0_(tx0), tx1_(tx1), forwarding_(std::move(forwarding)), array_(array) {}
+               const versal::ForwardingTable& forwarding,
+               versal::AieArraySim& array)
+    : tx0_(tx0), tx1_(tx1), array_(array) {
+  for (const auto& [dest_id, tile] : forwarding.routes()) {
+    if (route_tile_.size() <= dest_id) {
+      route_tile_.resize(dest_id + 1, versal::ColumnToken::kNoTile);
+    }
+    route_tile_[dest_id] = array_.geometry().index_of(tile);
+  }
+}
 
 double Sender::send_column(int which_block_channel, std::uint32_t dest_id,
                            std::uint32_t column, std::uint32_t task,
                            double ready, versal::Buffer payload,
-                           bool store_payload) {
+                           versal::ColumnToken* land) {
   HSVD_REQUIRE(which_block_channel == 0 || which_block_channel == 1,
                "a block pair uses exactly two Tx PLIOs");
+  HSVD_REQUIRE(dest_id < route_tile_.size() &&
+                   route_tile_[dest_id] != versal::ColumnToken::kNoTile,
+               cat("no route for forwarding key ", dest_id));
   versal::Channel& tx = which_block_channel == 0 ? tx0_ : tx1_;
   const double bytes = static_cast<double>(payload.bytes);
   const double at_plio = tx.transfer(ready, bytes);
@@ -65,8 +76,7 @@ double Sender::send_column(int which_block_channel, std::uint32_t dest_id,
     }
   }
   const versal::Packet packet{{dest_id, column, task}, payload};
-  return array_.stream_packet(forwarding_.route(dest_id), packet, at_plio,
-                              store_payload);
+  return array_.stream_packet(route_tile_[dest_id], packet, at_plio, land);
 }
 
 Receiver::Receiver(versal::Channel& rx0, versal::Channel& rx1,

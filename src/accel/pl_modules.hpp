@@ -55,24 +55,27 @@ class DataArrangement {
 class Sender {
  public:
   // `tx0`/`tx1` carry the two blocks of a pair; `forwarding` must route
-  // every engine-slot dest_id used by the schedule.
+  // every engine-slot dest_id used by the schedule. The table is
+  // resolved to array tile indices here, once.
   Sender(versal::Channel& tx0, versal::Channel& tx1,
-         versal::ForwardingTable forwarding, versal::AieArraySim& array);
+         const versal::ForwardingTable& forwarding,
+         versal::AieArraySim& array);
 
   // Sends one column: packetizes, serializes on the block's Tx PLIO, then
   // forwards through the packet switch to the tile bound to `dest_id`,
-  // storing `payload` there when `store_payload` (functional execution).
-  // Returns the arrival time at the tile's memory.
+  // landing `payload` there as `land`'s live copy when `land` is given
+  // (functional execution). Returns the arrival time at the tile's
+  // memory.
   double send_column(int which_block_channel, std::uint32_t dest_id,
                      std::uint32_t column, std::uint32_t task, double ready,
-                     versal::Buffer payload, bool store_payload);
+                     versal::Buffer payload, versal::ColumnToken* land);
 
-  const versal::ForwardingTable& forwarding() const { return forwarding_; }
 
  private:
   versal::Channel& tx0_;
   versal::Channel& tx1_;
-  versal::ForwardingTable forwarding_;
+  // dest_id -> tile index, ColumnToken::kNoTile where unbound.
+  std::vector<int> route_tile_;
   versal::AieArraySim& array_;
 };
 

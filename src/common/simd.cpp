@@ -35,33 +35,9 @@ float scalar_dot(const float* a, const float* b, std::size_t n) {
   return reduce_lanes(lane) + s;
 }
 
-Dot3f scalar_dot3(const float* x, const float* y, std::size_t n) {
-  float lxx[kLanes] = {};
-  float lyy[kLanes] = {};
-  float lxy[kLanes] = {};
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const float xi = x[i + l];
-      const float yi = y[i + l];
-      lxx[l] += xi * xi;
-      lyy[l] += yi * yi;
-      lxy[l] += xi * yi;
-    }
-  }
-  float sxx = 0.0f, syy = 0.0f, sxy = 0.0f;
-  for (; i < n; ++i) {
-    const float xi = x[i];
-    const float yi = y[i];
-    sxx += xi * xi;
-    syy += yi * yi;
-    sxy += xi * yi;
-  }
-  Dot3f out;
-  out.aii = reduce_lanes(lxx) + sxx;
-  out.ajj = reduce_lanes(lyy) + syy;
-  out.aij = reduce_lanes(lxy) + sxy;
-  return out;
+void scalar_dot_pairs(const float* const* a, const float* const* b,
+                      std::size_t count, std::size_t n, float* out) {
+  for (std::size_t p = 0; p < count; ++p) out[p] = scalar_dot(a[p], b[p], n);
 }
 
 // The rotation kernel's columns are always distinct buffers (a pair of
@@ -70,8 +46,8 @@ Dot3f scalar_dot3(const float* x, const float* y, std::size_t n) {
 // and gives up under -O2's cost model. The 8-wide chunking mirrors the
 // lane model; per-element arithmetic is position-independent, so this is
 // bit-identical to a plain scalar loop, and -O3's extra unrolling is
-// safe here (unlike for dot3, whose 24 accumulator lanes it spills --
-// hence per-function rather than per-file).
+// safe here. It is set per function, so the dot loops keep the file's
+// flags.
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("O3")))
 #endif
@@ -97,7 +73,7 @@ void scalar_apply_rotation(float* x, float* y, std::size_t n, float c,
 }
 
 const Kernels kScalar{"scalar", static_cast<int>(kLanes), scalar_dot,
-                      scalar_dot3, scalar_apply_rotation};
+                      scalar_dot_pairs, scalar_apply_rotation};
 
 // Startup decision: env override first, then cpuid. Returning the
 // scalar set is always safe.

@@ -22,19 +22,18 @@
 
 namespace hsvd::simd {
 
-// The three Gram entries of a column pair from one fused traversal.
-struct Dot3f {
-  float aii = 0.0f;
-  float ajj = 0.0f;
-  float aij = 0.0f;
-};
-
 // One resolved kernel set. All pointers are non-null.
 struct Kernels {
   const char* name;  // "scalar" or "avx2"
   int lane_width;    // accumulator lanes of the summation model (8)
   float (*dot)(const float* a, const float* b, std::size_t n);
-  Dot3f (*dot3)(const float* x, const float* y, std::size_t n);
+  // out[p] = dot(a[p], b[p], n) for p < count, each bit-identical to the
+  // single dot: the pairs of one orth-layer at once. The AVX2 target
+  // interleaves four pairs' accumulators, so four independent add chains
+  // hide the latency a single dot is bound by; every pair keeps its own
+  // lane order, tail and reduction tree.
+  void (*dot_pairs)(const float* const* a, const float* const* b,
+                    std::size_t count, std::size_t n, float* out);
   void (*apply_rotation)(float* x, float* y, std::size_t n, float c,
                          float s);
 };

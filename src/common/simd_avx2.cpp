@@ -31,6 +31,18 @@ float reduce_lanes(float lane[kLanes]) {
   return lane[0];
 }
 
+// The stored lanes plus the scalar tail from element i on, reduced as
+// every target reduces. Always inlined: a call out of an AVX function
+// here compiles without the vzeroupper that the kernel's own return gets,
+// and the dirty upper ymm state then slows the caller's SSE code.
+[[gnu::always_inline]] inline float finish_dot(float lane[kLanes],
+                                              const float* a, const float* b,
+                                              std::size_t i, std::size_t n) {
+  float s = 0.0f;
+  for (; i < n; ++i) s += a[i] * b[i];
+  return reduce_lanes(lane) + s;
+}
+
 float avx2_dot(const float* a, const float* b, std::size_t n) {
   __m256 acc = _mm256_setzero_ps();
   std::size_t i = 0;
@@ -41,42 +53,53 @@ float avx2_dot(const float* a, const float* b, std::size_t n) {
   }
   alignas(32) float lane[kLanes];
   _mm256_store_ps(lane, acc);
-  float s = 0.0f;
-  for (; i < n; ++i) s += a[i] * b[i];
-  return reduce_lanes(lane) + s;
+  return finish_dot(lane, a, b, i, n);
 }
 
-Dot3f avx2_dot3(const float* x, const float* y, std::size_t n) {
-  __m256 axx = _mm256_setzero_ps();
-  __m256 ayy = _mm256_setzero_ps();
-  __m256 axy = _mm256_setzero_ps();
+// G pairs in one pass: G independent accumulators, each updated in the
+// same order over i as avx2_dot's single one, so each pair's result is
+// bit-identical to its own dot while the G add chains overlap.
+// The g loops are unrolled so the accumulators live in registers.
+template <std::size_t G>
+void dot_group(const float* const* a, const float* const* b, std::size_t n,
+               float* out) {
+  const float* pa[G];
+  const float* pb[G];
+  __m256 acc[G];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) {
+    pa[g] = a[g];
+    pb[g] = b[g];
+    acc[g] = _mm256_setzero_ps();
+  }
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    axx = _mm256_add_ps(axx, _mm256_mul_ps(vx, vx));
-    ayy = _mm256_add_ps(ayy, _mm256_mul_ps(vy, vy));
-    axy = _mm256_add_ps(axy, _mm256_mul_ps(vx, vy));
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(_mm256_loadu_ps(pa[g] + i),
+                                                   _mm256_loadu_ps(pb[g] + i)));
+    }
   }
-  alignas(32) float lxx[kLanes];
-  alignas(32) float lyy[kLanes];
-  alignas(32) float lxy[kLanes];
-  _mm256_store_ps(lxx, axx);
-  _mm256_store_ps(lyy, ayy);
-  _mm256_store_ps(lxy, axy);
-  float sxx = 0.0f, syy = 0.0f, sxy = 0.0f;
-  for (; i < n; ++i) {
-    const float xi = x[i];
-    const float yi = y[i];
-    sxx += xi * xi;
-    syy += yi * yi;
-    sxy += xi * yi;
+  alignas(32) float lane[G][kLanes];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) _mm256_store_ps(lane[g], acc[g]);
+  for (std::size_t g = 0; g < G; ++g) {
+    out[g] = finish_dot(lane[g], pa[g], pb[g], i, n);
   }
-  Dot3f out;
-  out.aii = reduce_lanes(lxx) + sxx;
-  out.ajj = reduce_lanes(lyy) + syy;
-  out.aij = reduce_lanes(lxy) + sxy;
-  return out;
+}
+
+// Four pairs at a time; a remainder of two or three pairs is one more
+// interleaved group, a single pair a plain dot.
+void avx2_dot_pairs(const float* const* a, const float* const* b,
+                    std::size_t count, std::size_t n, float* out) {
+  std::size_t p = 0;
+  for (; p + 4 <= count; p += 4) dot_group<4>(a + p, b + p, n, out + p);
+  switch (count - p) {
+    case 3: dot_group<3>(a + p, b + p, n, out + p); break;
+    case 2: dot_group<2>(a + p, b + p, n, out + p); break;
+    case 1: out[p] = avx2_dot(a[p], b[p], n); break;
+    default: break;
+  }
 }
 
 void avx2_apply_rotation(float* x, float* y, std::size_t n, float c,
@@ -100,8 +123,8 @@ void avx2_apply_rotation(float* x, float* y, std::size_t n, float c,
   }
 }
 
-const Kernels kAvx2{"avx2", static_cast<int>(kLanes), avx2_dot, avx2_dot3,
-                    avx2_apply_rotation};
+const Kernels kAvx2{"avx2", static_cast<int>(kLanes), avx2_dot,
+                    avx2_dot_pairs, avx2_apply_rotation};
 
 }  // namespace
 

@@ -25,6 +25,22 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The ranking of enumerate(): true when `a` ranks ahead of `b`.
+bool better(Objective objective, const DesignPoint& a, const DesignPoint& b) {
+  if (objective == Objective::kLatency) {
+    return a.latency_seconds < b.latency_seconds;
+  }
+  return a.throughput_tasks_per_s > b.throughput_tasks_per_s;
+}
+
+// Best first; ties keep enumeration order.
+void sort_best_first(std::vector<DesignPoint>& points, Objective objective) {
+  std::stable_sort(points.begin(), points.end(),
+                   [objective](const DesignPoint& a, const DesignPoint& b) {
+                     return better(objective, a, b);
+                   });
+}
+
 // Digest of the request fields the design points depend on: the memo
 // key. The objective only orders the final ranking (the memo holds the
 // pre-sort enumeration), so it is excluded on purpose: one entry serves
@@ -128,6 +144,19 @@ DseStats DesignSpaceExplorer::last_stats() const {
   return out;
 }
 
+const DesignSpaceExplorer::MemoEntry* DesignSpaceExplorer::memo_hit(
+    const DseRequest& request, const std::string& key) const {
+  const auto it = counters_->enumerate_memo.find(key);
+  if (it == counters_->enumerate_memo.end()) return nullptr;
+  counters_->placement_calls.store(0, std::memory_order_relaxed);
+  counters_->placement_reuses.store(0, std::memory_order_relaxed);
+  counters_->enumerate_memo_hits.fetch_add(1, std::memory_order_relaxed);
+  if (request.observer != nullptr) {
+    request.observer->metrics().add("dse.enumerate.memo_hit");
+  }
+  return &it->second;
+}
+
 std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
     const DseRequest& request) const {
   HSVD_REQUIRE(request.batch >= 1, "batch must be positive");
@@ -139,23 +168,9 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
   if (request.memoize) {
     memo_key = request_digest(request);
     std::lock_guard<std::mutex> lock(counters_->enumerate_memo_mutex);
-    const auto it = counters_->enumerate_memo.find(memo_key);
-    if (it != counters_->enumerate_memo.end()) {
-      counters_->placement_calls.store(0, std::memory_order_relaxed);
-      counters_->placement_reuses.store(0, std::memory_order_relaxed);
-      counters_->enumerate_memo_hits.fetch_add(1, std::memory_order_relaxed);
-      if (request.observer != nullptr) {
-        request.observer->metrics().add("dse.enumerate.memo_hit");
-      }
-      std::vector<DesignPoint> points = it->second;
-      std::stable_sort(points.begin(), points.end(),
-                       [&](const DesignPoint& a, const DesignPoint& b) {
-                         if (request.objective == Objective::kLatency) {
-                           return a.latency_seconds < b.latency_seconds;
-                         }
-                         return a.throughput_tasks_per_s >
-                                b.throughput_tasks_per_s;
-                       });
+    if (const MemoEntry* hit = memo_hit(request, memo_key)) {
+      std::vector<DesignPoint> points = hit->points;
+      sort_best_first(points, request.objective);
       return points;
     }
   }
@@ -252,31 +267,52 @@ std::vector<DesignPoint> DesignSpaceExplorer::enumerate(
   }
   if (request.memoize) {
     // Record the pre-sort concatenation so one memo entry serves both
-    // objectives (first insertion wins; concurrent callers computed the
-    // identical points anyway). A caller streaming ever-new shapes must
-    // not grow the memo without limit: when full it is dropped whole,
-    // and a shape asked for again simply plans once more.
+    // objectives, plus each objective's winner -- the front of the
+    // stable sort, i.e. the first best point (first insertion wins;
+    // concurrent callers computed the identical points anyway). A caller
+    // streaming ever-new shapes must not grow the memo without limit:
+    // when full it is dropped whole, and a shape asked for again simply
+    // plans once more.
+    const auto best = [&points](Objective objective) {
+      const auto it = std::min_element(
+          points.begin(), points.end(),
+          [objective](const DesignPoint& a, const DesignPoint& b) {
+            return better(objective, a, b);
+          });
+      return it == points.end() ? std::optional<DesignPoint>()
+                                : std::optional<DesignPoint>(*it);
+    };
+    MemoEntry entry{points, best(Objective::kLatency),
+                    best(Objective::kThroughput)};
     std::lock_guard<std::mutex> lock(counters_->enumerate_memo_mutex);
     if (counters_->enumerate_memo.size() >= kMaxMemoEntries) {
       counters_->enumerate_memo.clear();
     }
-    counters_->enumerate_memo.emplace(memo_key, points);
+    counters_->enumerate_memo.emplace(memo_key, std::move(entry));
   }
-  const auto better = [&](const DesignPoint& a, const DesignPoint& b) {
-    if (request.objective == Objective::kLatency) {
-      return a.latency_seconds < b.latency_seconds;
-    }
-    return a.throughput_tasks_per_s > b.throughput_tasks_per_s;
-  };
-  std::stable_sort(points.begin(), points.end(), better);
+  sort_best_first(points, request.objective);
   return points;
 }
 
 DesignPoint DesignSpaceExplorer::optimize(const DseRequest& request) const {
+  const auto none_fits = [&request] {
+    return cat("no feasible design point for ", request.rows, "x",
+               request.cols);
+  };
+  if (request.memoize) {
+    // A memo hit answers with the recorded winner, no copy, no sort.
+    HSVD_REQUIRE(request.batch >= 1, "batch must be positive");
+    std::lock_guard<std::mutex> lock(counters_->enumerate_memo_mutex);
+    if (const MemoEntry* hit = memo_hit(request, request_digest(request))) {
+      const std::optional<DesignPoint>& winner =
+          request.objective == Objective::kLatency ? hit->best_latency
+                                                   : hit->best_throughput;
+      HSVD_REQUIRE(winner.has_value(), none_fits());
+      return *winner;
+    }
+  }
   auto points = enumerate(request);
-  HSVD_REQUIRE(!points.empty(),
-               cat("no feasible design point for ", request.rows, "x",
-                   request.cols));
+  HSVD_REQUIRE(!points.empty(), none_fits());
   return points.front();
 }
 

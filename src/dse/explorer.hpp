@@ -151,6 +151,20 @@ class DesignSpaceExplorer {
                                                  int p_eng,
                                                  SliceCache& cache) const;
 
+  // One memoized enumeration: the pre-sort points, so one entry serves
+  // every objective, and each objective's winner, so optimize() answers
+  // a hit without copying and sorting the points (empty when nothing
+  // fits).
+  struct MemoEntry {
+    std::vector<DesignPoint> points;
+    std::optional<DesignPoint> best_latency;
+    std::optional<DesignPoint> best_throughput;
+  };
+  // The memo entry of `request` (counted as a hit) or nullptr. The caller
+  // holds enumerate_memo_mutex.
+  const MemoEntry* memo_hit(const DseRequest& request,
+                            const std::string& key) const;
+
   FrequencyModel freq_;
   perf::PowerModel power_;
   perf::PerformanceModel perf_;
@@ -165,8 +179,8 @@ class DesignSpaceExplorer {
     std::atomic<std::uint64_t> placement_reuses{0};
     std::atomic<std::uint64_t> enumerate_memo_hits{0};
     std::mutex enumerate_memo_mutex;
-    // Request digest (request_digest) -> pre-sort enumeration.
-    std::map<std::string, std::vector<DesignPoint>> enumerate_memo;
+    // Request digest (request_digest) -> memoized enumeration.
+    std::map<std::string, MemoEntry> enumerate_memo;
   };
   std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
 };

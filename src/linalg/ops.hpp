@@ -1,7 +1,7 @@
 // Basic dense operations on Matrix<T>: products, transpose, norms, and the
 // vector kernels the Jacobi rotations are built from.
 //
-// The column kernels (dot, dot3, apply_rotation) are the host's hot path:
+// The column kernels (dot, apply_rotation) are the host's hot path:
 // they mirror the paper's 8-lane fp32 vector units (Table IV) with 8
 // independent accumulator lanes. The lane split changes the summation
 // tree relative to a strict left-to-right reduction, so values can
@@ -55,60 +55,6 @@ T dot(std::span<const T> a, std::span<const T> b) {
     }
   }
   return lane[0] + s;
-}
-
-// The three Gram entries of a column pair from one fused traversal:
-//   aii = x.x, ajj = y.y, aij = x.y.
-// One pass instead of three is what cuts the Hestenes per-pair memory
-// traffic; the rotation closed form (eqs. (3)-(5)) needs all three.
-template <typename T>
-struct DotTriple {
-  T aii{};
-  T ajj{};
-  T aij{};
-};
-
-template <typename T>
-DotTriple<T> dot3(std::span<const T> x, std::span<const T> y) {
-  HSVD_REQUIRE(x.size() == y.size(), "dot3: length mismatch");
-  const std::size_t n = x.size();
-  if constexpr (std::is_same_v<T, float>) {
-    const simd::Dot3f g = simd::active().dot3(x.data(), y.data(), n);
-    return DotTriple<T>{g.aii, g.ajj, g.aij};
-  }
-  T lxx[kDotLanes] = {};
-  T lyy[kDotLanes] = {};
-  T lxy[kDotLanes] = {};
-  std::size_t i = 0;
-  for (; i + kDotLanes <= n; i += kDotLanes) {
-    for (std::size_t l = 0; l < kDotLanes; ++l) {
-      const T xi = x[i + l];
-      const T yi = y[i + l];
-      lxx[l] += xi * xi;
-      lyy[l] += yi * yi;
-      lxy[l] += xi * yi;
-    }
-  }
-  T sxx{}, syy{}, sxy{};
-  for (; i < n; ++i) {
-    const T xi = x[i];
-    const T yi = y[i];
-    sxx += xi * xi;
-    syy += yi * yi;
-    sxy += xi * yi;
-  }
-  for (std::size_t step = 1; step < kDotLanes; step *= 2) {
-    for (std::size_t l = 0; l + step < kDotLanes; l += 2 * step) {
-      lxx[l] += lxx[l + step];
-      lyy[l] += lyy[l + step];
-      lxy[l] += lxy[l + step];
-    }
-  }
-  DotTriple<T> out;
-  out.aii = lxx[0] + sxx;
-  out.ajj = lyy[0] + syy;
-  out.aij = lxy[0] + sxy;
-  return out;
 }
 
 template <typename T>

@@ -29,45 +29,37 @@ void AieArraySim::attach_observer(obs::ObsContext* observer) {
   obs_->metrics().register_histogram("sim.stream.cycles", bounds);
 }
 
-TileMemory& AieArraySim::memory(const TileCoord& t) {
-  return memories_[static_cast<std::size_t>(geometry_.index_of(t))];
-}
-
 Timeline& AieArraySim::core(const TileCoord& t) {
   return cores_[static_cast<std::size_t>(geometry_.index_of(t))];
 }
 
-void AieArraySim::neighbour_move(const TileCoord& src, const TileCoord& dst,
-                                 BufferKey key, std::uint64_t bytes_hint) {
-  HSVD_REQUIRE(geometry_.contains(src) && geometry_.contains(dst) &&
-                   geometry_.shares_memory_module(src, dst),
-               cat("tiles ", to_string(src), " -> ", to_string(dst),
-                   " are not neighbour-accessible"));
-  TileCounters& tally = counters(dst);
+void AieArraySim::neighbour_move(int src, int dst, ColumnToken& column,
+                                 std::uint64_t bytes) {
+  TileCounters& tally = tile_counters_[static_cast<std::size_t>(dst)];
   ++tally.neighbour_transfers;
-  std::uint64_t bytes = bytes_hint;
   if (obs_ != nullptr) obs_->metrics().add("sim.neighbour.transfers");
   if (src == dst) return;
-  TileMemory& sm = memory(src);
-  if (sm.contains(key)) {
-    const Buffer buffer = sm.take(key);
-    bytes = buffer.bytes;
-    memory(dst).store(key, buffer);
+  if (column.live_tile == src) {
+    memory(src).release(column.bytes);
+    column.live_tile = ColumnToken::kNoTile;
+    memory(dst).charge(column.key, column.bytes);
+    column.live_tile = dst;
   }
   // The consuming tile reads the shared memory module: charge the link
   // bytes to the destination.
   tally.neighbour_bytes += bytes;
 }
 
-double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
-                             BufferKey key, double ready,
-                             std::uint64_t bytes_hint) {
-  const auto src_index = static_cast<std::size_t>(geometry_.index_of(src));
+double AieArraySim::dma_move(int src, int dst, ColumnToken& column,
+                             double ready, std::uint64_t bytes) {
+  const auto src_index = static_cast<std::size_t>(src);
   TileCounters& tally = tile_counters_[src_index];
   ++tally.dma_transfers;
   bool drop = false;
   double stall = 0.0;
-  if (faults_ != nullptr) stall = faults_->on_dma(src, &drop);
+  if (faults_ != nullptr) {
+    stall = faults_->on_dma(geometry_.coord_of(src), &drop);
+  }
   if (stall > 0 || drop) {
     tally.stall_seconds += stall;
     if (obs_ != nullptr) {
@@ -76,24 +68,23 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
       if (obs::Tracer* tr = obs_->tracer()) {
         tr->instant(obs::Domain::kSim, "faults",
                     cat(drop ? "inject:dma-drop " : "inject:dma-stall ",
-                        to_string(src)),
+                        to_string(geometry_.coord_of(src))),
                     "fault", ready);
       }
     }
   }
-  TileMemory& sm = memories_[src_index];
-  std::uint64_t bytes = bytes_hint;
-  if (sm.contains(key)) {
-    Buffer shadow = sm.load(key);
-    bytes = shadow.bytes;
-    // The shadow copy lives in the destination while the source keeps its
-    // original until the consumer erases it: the 2x memory cost of DMA.
-    // A dropped DMA consumes the engine's time but never lands the
-    // shadow; a staged shadow can take an injected SEU.
-    if (!drop) {
-      if (faults_ != nullptr) faults_->corrupt_payload(dst, shadow);
-      memory(dst).store(key.shadow(), shadow);
+  // The shadow copy lives in the destination while the source keeps its
+  // original until the consumer resolves it: the 2x memory cost of DMA.
+  // A dropped DMA consumes the engine's time but never lands the shadow;
+  // a staged shadow can take an injected SEU.
+  if (column.live_tile == src && !drop) {
+    Buffer shadow{column.bytes, column.live_stamp};
+    if (faults_ != nullptr) {
+      faults_->corrupt_payload(geometry_.coord_of(dst), shadow);
     }
+    memory(dst).charge(column.key.shadow(), shadow.bytes);
+    column.shadow_tile = dst;
+    column.shadow_stamp = shadow.stamp;
   }
   tally.dma_bytes += bytes;
   Timeline& engine = dma_engines_[src_index];
@@ -105,24 +96,38 @@ double AieArraySim::dma_move(const TileCoord& src, const TileCoord& dst,
     obs_->metrics().add("sim.dma.bytes", bytes);
     obs_->metrics().observe("sim.dma.cycles", duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("dma", to_string(src)),
-               cat(to_string(key), " -> ", to_string(dst)), "dma",
-               done - duration, duration);
+      tr->span(obs::Domain::kSim,
+               cat("dma", to_string(geometry_.coord_of(src))),
+               cat(to_string(column.key), " -> ",
+                   to_string(geometry_.coord_of(dst))),
+               "dma", done - duration, duration);
     }
   }
   return done;
 }
 
-double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
-                                  double ready, bool store_payload) {
-  const auto dst_index = static_cast<std::size_t>(geometry_.index_of(dst));
+bool AieArraySim::resolve_dma(int src, int dst, ColumnToken& column) {
+  if (column.shadow_tile != dst) return false;
+  // The shadow's bytes stay on dst as the live copy's.
+  if (column.live_tile == src) memory(src).release(column.bytes);
+  column.live_tile = dst;
+  column.live_stamp = column.shadow_stamp;
+  column.shadow_tile = ColumnToken::kNoTile;
+  return true;
+}
+
+double AieArraySim::stream_packet(int dst, const Packet& packet, double ready,
+                                  ColumnToken* land) {
+  const auto dst_index = static_cast<std::size_t>(dst);
   TileCounters& tally = tile_counters_[dst_index];
   const std::uint64_t wire_bytes = packet.bytes();
   ++tally.stream_packets;
   tally.stream_bytes += wire_bytes;
   bool drop = false;
   double stall = 0.0;
-  if (faults_ != nullptr) stall = faults_->on_stream(dst, &drop);
+  if (faults_ != nullptr) {
+    stall = faults_->on_stream(geometry_.coord_of(dst), &drop);
+  }
   if (stall > 0 || drop) {
     tally.stall_seconds += stall;
     if (obs_ != nullptr) {
@@ -131,16 +136,20 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
       if (obs::Tracer* tr = obs_->tracer()) {
         tr->instant(obs::Domain::kSim, "faults",
                     cat(drop ? "inject:stream-drop " : "inject:stream-stall ",
-                        to_string(dst)),
+                        to_string(geometry_.coord_of(dst))),
                     "fault", ready);
       }
     }
   }
-  if (store_payload && !drop) {
+  if (land != nullptr && !drop) {
     Buffer payload = packet.payload;
-    if (faults_ != nullptr) faults_->corrupt_payload(dst, payload);
-    memories_[dst_index].store(
-        BufferKey(packet.header.task, packet.header.column), payload);
+    if (faults_ != nullptr) {
+      faults_->corrupt_payload(geometry_.coord_of(dst), payload);
+    }
+    memories_[dst_index].charge(land->key, payload.bytes);
+    land->bytes = payload.bytes;
+    land->live_tile = dst;
+    land->live_stamp = payload.stamp;
   }
   // Stream ports move 32 bits per AIE cycle.
   const double rate = 4.0 * device_.aie_clock_hz;
@@ -153,7 +162,8 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
     obs_->metrics().observe("sim.stream.cycles",
                             duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("stream", to_string(dst)),
+      tr->span(obs::Domain::kSim,
+               cat("stream", to_string(geometry_.coord_of(dst))),
                cat("pkt c", packet.header.column, " t", packet.header.task),
                "stream", done - duration, duration);
     }
@@ -161,18 +171,41 @@ double AieArraySim::stream_packet(const TileCoord& dst, const Packet& packet,
   return done;
 }
 
-double AieArraySim::run_kernel(const TileCoord& tile, double ready,
-                               double duration) {
-  const auto index = static_cast<std::size_t>(geometry_.index_of(tile));
+Buffer AieArraySim::take(int tile, ColumnToken& column) {
+  HSVD_REQUIRE(column.live_tile == tile,
+               cat("missing buffer '", to_string(column.key), "'"));
+  memory(tile).release(column.bytes);
+  column.live_tile = ColumnToken::kNoTile;
+  return Buffer{column.bytes, column.live_stamp};
+}
+
+std::size_t AieArraySim::purge(std::span<ColumnToken> columns,
+                               std::uint32_t task) {
+  std::size_t released = 0;
+  for (ColumnToken& column : columns) {
+    if (column.key.task() != task) continue;
+    for (int* tile : {&column.live_tile, &column.shadow_tile}) {
+      if (*tile == ColumnToken::kNoTile) continue;
+      memory(*tile).release(column.bytes);
+      *tile = ColumnToken::kNoTile;
+      ++released;
+    }
+  }
+  return released;
+}
+
+double AieArraySim::run_kernel(int tile, double ready, double duration) {
+  const auto index = static_cast<std::size_t>(tile);
   ++tile_counters_[index].kernel_invocations;
-  if (faults_ != nullptr && faults_->hang_core(tile)) {
+  if (faults_ != nullptr && faults_->hang_core(geometry_.coord_of(tile))) {
     // The core never completes: report an unreachable completion time and
     // leave the timeline untouched so healthy tiles stay unperturbed.
     if (obs_ != nullptr) {
       obs_->metrics().add("sim.fault.inject.tile_hang");
       if (obs::Tracer* tr = obs_->tracer()) {
         tr->instant(obs::Domain::kSim, "faults",
-                    cat("inject:hang ", to_string(tile)), "fault", ready);
+                    cat("inject:hang ", to_string(geometry_.coord_of(tile))),
+                    "fault", ready);
       }
     }
     return std::numeric_limits<double>::infinity();
@@ -183,8 +216,9 @@ double AieArraySim::run_kernel(const TileCoord& tile, double ready,
     obs_->metrics().observe("sim.kernel.cycles",
                             duration * device_.aie_clock_hz);
     if (obs::Tracer* tr = obs_->tracer()) {
-      tr->span(obs::Domain::kSim, cat("core", to_string(tile)), "kernel",
-               "kernel", done - duration, duration);
+      tr->span(obs::Domain::kSim,
+               cat("core", to_string(geometry_.coord_of(tile))),
+               "kernel", "kernel", done - duration, duration);
     }
   }
   return done;

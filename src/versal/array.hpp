@@ -1,22 +1,26 @@
-// The AIE array simulator: tiles with core timelines and checked
+// The AIE array simulator: tiles with core timelines and byte-ledgered
 // memories, plus the three inter-tile transfer mechanisms of Fig. 1
 // (neighbour access, DMA, packet streams) with their cost asymmetry.
 //
-// Buffers are BufferKey-addressed tokens (versal/memory.hpp): a byte
-// count and a provenance stamp, not the column's floats. The data plane
-// mirrors the hardware's costs: a neighbour access hands the token to the
-// consumer (the "free copy" through a shared memory module), a packet's
-// token is stored in the destination memory, and DMA is the only transfer
-// that duplicates -- into the destination's "#dma" shadow slot, the
-// twice-the-memory cost of the slow path, accounted by bytes.
+// Tiles are addressed by their geometry index (ArrayGeometry::index_of),
+// which a caller resolves once -- the accelerator does it when it
+// compiles a task slot's program -- so no event re-derives it. A
+// transfer moves a ColumnToken (versal/memory.hpp), which records where
+// its column lives; the tiles keep only byte ledgers. The data plane
+// mirrors the hardware's costs: a neighbour access hands the token to
+// the consumer (the "free copy" through a shared memory module), a
+// packet's token lands in the destination memory, and DMA is the only
+// transfer that duplicates -- into the token's shadow copy on the
+// destination, the twice-the-memory cost of the slow path, accounted by
+// bytes.
 //
-// Functional tokens are optional: when a transfer is issued for a buffer
-// that is not resident, the simulator still performs all accounting and
-// timing, which is how the timing-only estimate() runs (timing is
+// A token that never landed is moved by accounting and timing alone,
+// which is how the timing-only estimate() runs (timing is
 // data-independent once the iteration count is fixed).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -46,37 +50,57 @@ class AieArraySim {
   const ArrayGeometry& geometry() const { return geometry_; }
   const DeviceResources& device() const { return device_; }
 
-  TileMemory& memory(const TileCoord& t);
+  TileMemory& memory(int tile) {
+    return memories_[static_cast<std::size_t>(tile)];
+  }
+  const TileMemory& memory(int tile) const {
+    return memories_[static_cast<std::size_t>(tile)];
+  }
   Timeline& core(const TileCoord& t);
 
-  // --- Functional + accounted transfers -------------------------------
-  // Neighbour transfer: requires geometric adjacency (throws
-  // std::invalid_argument otherwise; an O(1) check). Zero-copy in time
-  // and in data: the consuming kernel reads the shared memory module
-  // directly, so the buffer is moved, not copied, to dst. `bytes_hint`
-  // supplies the link-byte tally when src holds no buffer under `key`
-  // (timing-only execution).
-  void neighbour_move(const TileCoord& src, const TileCoord& dst,
-                      BufferKey key, std::uint64_t bytes_hint = 0);
+  // --- Accounted transfers of column tokens ---------------------------
+  // `src`/`dst` are tile indices; `bytes` is the column size the link
+  // and engine tallies charge.
 
-  // DMA transfer: allowed between any two tiles. Copies the buffer into
-  // dst under key.shadow() while src keeps its original -- the "twice
-  // the memory" cost -- and occupies the source tile's DMA engine for
-  // bytes / dma_rate. The consumer resolves the shadow by erasing the
-  // original. Returns completion time.
-  double dma_move(const TileCoord& src, const TileCoord& dst, BufferKey key,
-                  double ready, std::uint64_t bytes_hint = 0);
+  // Neighbour transfer. Zero-copy in time and in data: the consuming
+  // kernel reads the shared memory module directly, so a token live on
+  // `src` becomes live on `dst`. Adjacency is the caller's precondition
+  // (ArrayGeometry::require_neighbour_access), checked once when the
+  // dataflow is compiled, not per move.
+  void neighbour_move(int src, int dst, ColumnToken& column,
+                      std::uint64_t bytes);
+
+  // DMA transfer: allowed between any two tiles. A token live on `src`
+  // gets a shadow copy on `dst` while `src` keeps its original -- the
+  // "twice the memory" cost -- and the source tile's DMA engine is
+  // occupied for bytes / dma_rate. Returns completion time.
+  double dma_move(int src, int dst, ColumnToken& column, double ready,
+                  std::uint64_t bytes);
+
+  // The consumer's side of a DMA: the shadow on `dst` becomes the live
+  // copy and the original on `src` is released. Returns false, changing
+  // nothing, when no shadow landed on `dst` (a dropped DMA).
+  bool resolve_dma(int src, int dst, ColumnToken& column);
 
   // Stream packet from PL into a tile (or between tiles) through the
   // packet-switched network; serializes on the destination's stream port.
-  // With `store_payload`, the payload token is stored in dst's memory
-  // under BufferKey(header.task, header.column); without it (timing-only
-  // execution) the packet only costs wire time.
-  double stream_packet(const TileCoord& dst, const Packet& packet,
-                       double ready, bool store_payload);
+  // With a `land` token the payload lands on `dst` as that token's live
+  // copy; without one (timing-only execution) the packet only costs wire
+  // time.
+  double stream_packet(int dst, const Packet& packet, double ready,
+                       ColumnToken* land);
 
-  // Records a kernel run on the tile's core timeline.
-  double run_kernel(const TileCoord& tile, double ready, double duration);
+  // Removes the live copy on `tile`, releasing its bytes, and returns it.
+  // Throws std::invalid_argument when the column is not live there.
+  Buffer take(int tile, ColumnToken& column);
+
+  // Releases every copy held by the tokens of batch task `task` (a failed
+  // task's stranded columns, so later tasks on the same tiles start
+  // clean). Returns the number of copies released.
+  std::size_t purge(std::span<ColumnToken> columns, std::uint32_t task);
+
+  // Records a kernel run on core `tile`'s timeline.
+  double run_kernel(int tile, double ready, double duration);
 
   // Totals of the per-tile counters, summed on each call.
   ArrayStats stats() const;
@@ -145,9 +169,6 @@ class AieArraySim {
     std::uint64_t stream_bytes = 0;
     double stall_seconds = 0.0;
   };
-  TileCounters& counters(const TileCoord& t) {
-    return tile_counters_[static_cast<std::size_t>(geometry_.index_of(t))];
-  }
   std::vector<TileCounters> tile_counters_;
   FaultInjector* faults_ = nullptr;
   obs::ObsContext* obs_ = nullptr;

@@ -14,6 +14,13 @@ ArrayGeometry::ArrayGeometry(int rows, int cols) : rows_(rows), cols_(cols) {
   HSVD_REQUIRE(rows >= 1 && cols >= 1, "array must have positive dimensions");
 }
 
+void ArrayGeometry::require_neighbour_access(const TileCoord& src,
+                                             const TileCoord& dst) const {
+  HSVD_REQUIRE(contains(src) && contains(dst) && shares_memory_module(src, dst),
+               cat("tiles ", to_string(src), " -> ", to_string(dst),
+                   " are not neighbour-accessible"));
+}
+
 bool ArrayGeometry::core_can_access_memory(const TileCoord& core_tile,
                                            const TileCoord& mem_tile) const {
   HSVD_REQUIRE(contains(core_tile) && contains(mem_tile),

@@ -45,6 +45,9 @@ class ArrayGeometry {
     return t.row * cols_ + t.col;
   }
 
+  // Inverse of index_of.
+  TileCoord coord_of(int index) const { return {index / cols_, index % cols_}; }
+
   // Physical x position (in half-tile units) of the core / memory module
   // of the given tile. Row parity mirrors the pair.
   int core_x(const TileCoord& t) const {
@@ -68,12 +71,12 @@ class ArrayGeometry {
                                    const TileCoord& dst) const;
 
   // Closed form of neighbour_transfer_possible for tiles inside the
-  // array, O(1) for the simulator's per-move check. A core reaches its
-  // own memory, the ones above and below it, and the horizontal one its
-  // row parity abuts (west in even rows, east in odd rows), so two tiles
-  // share a module when they are horizontal neighbours, when dst is in
-  // the next row up or down at src's column or at the column of src's
-  // abutting memory, or when they are two rows apart in one column.
+  // array, O(1). A core reaches its own memory, the ones above and below
+  // it, and the horizontal one its row parity abuts (west in even rows,
+  // east in odd rows), so two tiles share a module when they are
+  // horizontal neighbours, when dst is in the next row up or down at
+  // src's column or at the column of src's abutting memory, or when they
+  // are two rows apart in one column.
   static bool shares_memory_module(const TileCoord& src, const TileCoord& dst) {
     const int dr = dst.row - src.row;
     const int dc = dst.col - src.col;
@@ -84,6 +87,12 @@ class ArrayGeometry {
       default: return false;
     }
   }
+
+  // Throws std::invalid_argument ("tiles A -> B are not
+  // neighbour-accessible") unless both tiles are inside the array and
+  // share a memory module: the precondition of every neighbour move.
+  void require_neighbour_access(const TileCoord& src,
+                                const TileCoord& dst) const;
 
  private:
   int rows_;

@@ -1,30 +1,30 @@
-// Per-tile data memory with capacity accounting.
+// Tile data memory: per-tile byte ledgers plus the column tokens whose
+// bytes they account.
 //
-// A tile's memory holds column buffers of the working matrix, plus DMA
-// shadow copies. Each buffer is addressed by a BufferKey: a handle that
-// packs the owning batch task, the global column index and the shadow
-// bit into one 64-bit word, so lookups are integer compares over a small
-// flat slot vector (a tile holds a handful of buffers at a time). A
-// buffer is a token, not the column's floats: its byte count, which the
-// memory accounts, and a provenance stamp the PL sender issued, which a
-// fault can corrupt and the Rx boundary checks. The kernels compute on
-// the host matrix, so nothing in the fabric needs the floats themselves.
-// Allocation is checked against the 4 x 8 KB budget so placement bugs
-// that would not fit on silicon fail loudly in simulation. Peak usage is
-// tracked for the resource reports.
+// A column of the working matrix travels through the fabric as a token,
+// not as its floats: a byte count, which the memories account, and a
+// provenance stamp the PL sender issued, which a fault can corrupt and
+// the Rx boundary checks. The kernels compute on the host matrix, so
+// nothing in the fabric needs the floats themselves.
+//
+// Where a token lives is recorded in the token (ColumnToken), not in the
+// tile: a task slot owns one token per local column of its block pair,
+// holding the tile index and stamp of the live copy and of the DMA
+// shadow copy ("#dma") in flight. Each tile keeps only a byte ledger
+// (TileMemory), checked against the 4 x 8 KB budget so placement bugs
+// that would not fit on silicon fail loudly in simulation, with a sticky
+// peak for the resource reports. Every residency check, move, DMA
+// resolve and Rx is therefore O(1).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "common/assert.hpp"
 
 namespace hsvd::versal {
 
-// Handle of one tile-memory buffer: column `column` of batch task `task`,
+// Name of one tile-memory buffer: column `column` of batch task `task`,
 // either the live buffer or its DMA shadow copy.
 class BufferKey {
  public:
@@ -62,52 +62,50 @@ struct Buffer {
 // diagnostics and trace labels use for the buffer.
 std::string to_string(BufferKey key);
 
+// Where one column of a block pair lives: the tile index (the array
+// geometry's index_of) and stamp of its live copy, and of its DMA shadow
+// copy while a DMA is being resolved. kNoTile marks an absent copy. The
+// array's transfer methods update it; a token that never landed (a
+// dropped packet, or timing-only execution, which lands nothing) stays
+// absent, and every transfer of it is then accounting and timing only.
+struct ColumnToken {
+  static constexpr int kNoTile = -1;
+
+  explicit ColumnToken(BufferKey k = BufferKey(0, 0)) : key(k) {}
+
+  BufferKey key;
+  std::uint64_t bytes = 0;
+  int live_tile = kNoTile;
+  std::uint64_t live_stamp = 0;
+  int shadow_tile = kNoTile;
+  std::uint64_t shadow_stamp = 0;
+};
+
+// Byte ledger of one tile's data memory.
 class TileMemory {
  public:
   explicit TileMemory(std::uint64_t capacity_bytes)
       : capacity_(capacity_bytes) {}
 
-  // Allocates (or replaces) `buffer.bytes` under `key`. Throws
-  // std::runtime_error if the tile memory would overflow.
-  void store(BufferKey key, Buffer buffer);
+  // Accounts `bytes` more for the buffer `key` names. Throws
+  // std::runtime_error, leaving the ledger unchanged, if the tile memory
+  // would overflow.
+  void charge(BufferKey key, std::uint64_t bytes);
 
-  bool contains(BufferKey key) const { return find(key) < slots_.size(); }
-
-  // Throws std::invalid_argument when `key` is absent.
-  Buffer load(BufferKey key) const;
-
-  // Removes the buffer, releases its bytes and returns it. Throws
-  // std::invalid_argument when `key` is absent.
-  Buffer take(BufferKey key);
-
-  // Removes a buffer; no-op if absent.
-  void erase(BufferKey key);
-
-  // Removes every buffer whose key satisfies `pred`; returns the number
-  // removed. Used to purge a failed task's stranded columns so later
-  // tasks on the same tiles do not inherit its memory footprint.
-  std::size_t erase_if(const std::function<bool(BufferKey)>& pred);
+  // Returns `bytes` a departing buffer held.
+  void release(std::uint64_t bytes) {
+    HSVD_ASSERT(bytes <= used_, "tile memory released more than it holds");
+    used_ -= bytes;
+  }
 
   std::uint64_t used_bytes() const { return used_; }
   std::uint64_t peak_bytes() const { return peak_; }
   std::uint64_t capacity_bytes() const { return capacity_; }
 
  private:
-  struct Slot {
-    BufferKey key;
-    Buffer buffer;
-  };
-
-  // Index of `key`'s slot; slots_.size() when absent.
-  std::size_t find(BufferKey key) const;
-  // Drops slot `i` (order is not kept), releases its bytes and returns
-  // its buffer.
-  Buffer remove(std::size_t i);
-
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::uint64_t peak_ = 0;
-  std::vector<Slot> slots_;
 };
 
 }  // namespace hsvd::versal

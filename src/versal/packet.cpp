@@ -10,10 +10,4 @@ void ForwardingTable::bind(std::uint32_t dest_id, TileCoord tile) {
   HSVD_REQUIRE(inserted, cat("forwarding key ", dest_id, " already bound"));
 }
 
-TileCoord ForwardingTable::route(std::uint32_t dest_id) const {
-  auto it = routes_.find(dest_id);
-  HSVD_REQUIRE(it != routes_.end(), cat("no route for forwarding key ", dest_id));
-  return it->second;
-}
-
 }  // namespace hsvd::versal

@@ -39,11 +39,8 @@ class ForwardingTable {
   // bound once (the hardware analogue is a fixed packet-switch route).
   void bind(std::uint32_t dest_id, TileCoord tile);
 
-  bool has(std::uint32_t dest_id) const { return routes_.count(dest_id) > 0; }
-
-  TileCoord route(std::uint32_t dest_id) const;
-
-  std::size_t size() const { return routes_.size(); }
+  // dest_id -> tile; the Sender resolves it to array tile indices once.
+  const std::map<std::uint32_t, TileCoord>& routes() const { return routes_; }
 
  private:
   std::map<std::uint32_t, TileCoord> routes_;

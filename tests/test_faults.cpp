@@ -191,9 +191,10 @@ TEST(FaultArray, HungCoreReportsUnreachableCompletion) {
   plan.faults.push_back({FaultKind::kTileHang, {3, 3}, 0, 0, 0.0, 1.0});
   FaultInjector inj(plan);
   array.attach_faults(&inj);
-  EXPECT_TRUE(std::isinf(array.run_kernel({3, 3}, 0.0, 1e-6)));
+  const ArrayGeometry& geo = array.geometry();
+  EXPECT_TRUE(std::isinf(array.run_kernel(geo.index_of({3, 3}), 0.0, 1e-6)));
   // Healthy tiles are untouched.
-  EXPECT_DOUBLE_EQ(array.run_kernel({3, 4}, 0.0, 1e-6), 1e-6);
+  EXPECT_DOUBLE_EQ(array.run_kernel(geo.index_of({3, 4}), 0.0, 1e-6), 1e-6);
   // The hung core's timeline stays empty: no phantom busy time.
   EXPECT_DOUBLE_EQ(array.core({3, 3}).busy_seconds(), 0.0);
 }
@@ -204,17 +205,29 @@ TEST(FaultArray, DroppedDmaNeverLandsTheShadow) {
   plan.faults.push_back({FaultKind::kDmaDrop, {1, 1}, 0, 0, 0.0, 1.0});
   FaultInjector inj(plan);
   array.attach_faults(&inj);
-  const BufferKey c0(0, 0);
-  array.memory({1, 1}).store(c0, Buffer{64, 1});
-  const double done = array.dma_move({1, 1}, {5, 5}, c0, 0.0);
+  const int src = array.geometry().index_of({1, 1});
+  const int dst = array.geometry().index_of({5, 5});
+  // Lands `stamp` on the source tile as `token`'s live copy.
+  const auto land = [&](ColumnToken& token, std::uint64_t stamp) {
+    Packet packet;
+    packet.payload = Buffer{64, stamp};
+    array.stream_packet(src, packet, 0.0, &token);
+  };
+  ColumnToken c0(BufferKey(0, 0));
+  land(c0, 1);
+  const double done = array.dma_move(src, dst, c0, 0.0, 64);
   EXPECT_GT(done, 0.0);  // the engine still burned its time
-  EXPECT_FALSE(array.memory({5, 5}).contains(c0.shadow()));
-  EXPECT_TRUE(array.memory({1, 1}).contains(c0));  // source intact
+  EXPECT_EQ(c0.shadow_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(array.memory(dst).used_bytes(), 0u);
+  EXPECT_FALSE(array.resolve_dma(src, dst, c0));
+  EXPECT_EQ(c0.live_tile, src);  // source intact
   // The next DMA from the same tile is clean (one-shot).
-  const BufferKey c1(0, 1);
-  array.memory({1, 1}).store(c1, Buffer{64, 2});
-  array.dma_move({1, 1}, {5, 5}, c1, 0.0);
-  EXPECT_EQ(array.memory({5, 5}).load(c1.shadow()), (Buffer{64, 2}));
+  ColumnToken c1(BufferKey(0, 1));
+  land(c1, 2);
+  array.dma_move(src, dst, c1, 0.0, 64);
+  EXPECT_EQ(c1.shadow_tile, dst);
+  EXPECT_EQ(c1.shadow_stamp, 2u);
+  EXPECT_EQ(array.memory(dst).used_bytes(), 64u);
 }
 
 TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
@@ -227,9 +240,11 @@ TEST(FaultArray, StreamBitFlipIsCaughtByChecksum) {
   Packet packet;
   packet.header = {0, 4, 2};
   packet.payload = Buffer{24 * sizeof(float), /*stamp=*/1234};
-  array.stream_packet({2, 7}, packet, 0.0, /*store_payload=*/true);
-  ASSERT_TRUE(array.memory({2, 7}).contains(BufferKey(2, 4)));
-  const Buffer stored = array.memory({2, 7}).load(BufferKey(2, 4));
+  const int tile = array.geometry().index_of({2, 7});
+  ColumnToken token(BufferKey(2, 4));
+  array.stream_packet(tile, packet, 0.0, &token);
+  ASSERT_EQ(token.live_tile, tile);
+  const Buffer stored = array.take(tile, token);
   EXPECT_NE(stored.stamp, packet.payload.stamp);
   EXPECT_EQ(stored.bytes, packet.payload.bytes);
   ASSERT_EQ(inj.events().size(), 1u);
@@ -246,14 +261,16 @@ TEST(FaultArray, StallStretchesTheTimelineOnly) {
   Packet packet;
   packet.header = {0, 0, 0};
   packet.payload = Buffer{16 * sizeof(float), /*stamp=*/77};
+  const int tile = clean_array.geometry().index_of({0, 2});
+  ColumnToken clean(BufferKey(0, 0));
+  ColumnToken stalled(BufferKey(0, 0));
   const double clean_done =
-      clean_array.stream_packet({0, 2}, packet, 0.0, true);
+      clean_array.stream_packet(tile, packet, 0.0, &clean);
   const double stalled_done =
-      stalled_array.stream_packet({0, 2}, packet, 0.0, true);
+      stalled_array.stream_packet(tile, packet, 0.0, &stalled);
   EXPECT_NEAR(stalled_done - clean_done, 5e-6, 1e-12);
   // Payload intact: stalls never corrupt.
-  EXPECT_EQ(stalled_array.memory({0, 2}).load(BufferKey(0, 0)),
-            clean_array.memory({0, 2}).load(BufferKey(0, 0)));
+  EXPECT_EQ(stalled_array.take(tile, stalled), clean_array.take(tile, clean));
 }
 
 }  // namespace

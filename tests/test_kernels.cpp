@@ -1,6 +1,10 @@
 // Tests for the functional AIE kernels and the kernel timing model.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "accel/kernels.hpp"
 #include "common/rng.hpp"
 #include "linalg/generators.hpp"
@@ -10,10 +14,22 @@
 namespace hsvd::accel {
 namespace {
 
+// Runs the layer kernel on a one-pair layer: columns 0 and 1 of `a`,
+// with their squared norms as the Gram cache.
+OrthKernelResult orth_one(linalg::MatrixF& a) {
+  float aii = linalg::dot<float>(a.col(0), a.col(0));
+  float ajj = linalg::dot<float>(a.col(1), a.col(1));
+  const OrthPair pair{a.col(0).data(), a.col(1).data(), &aii, &ajj};
+  OrthKernelResult r;
+  orth_layer(std::span<const OrthPair>(&pair, 1), a.rows(),
+             std::span<OrthKernelResult>(&r, 1));
+  return r;
+}
+
 TEST(OrthKernel, OrthogonalizesPair) {
   Rng rng(42);
   auto a = linalg::random_gaussian(64, 2, rng).cast<float>();
-  auto r = orth_kernel(a.col(0), a.col(1));
+  auto r = orth_one(a);
   EXPECT_TRUE(r.rotated);
   EXPECT_GT(r.coherence, 0.0);
   EXPECT_NEAR(linalg::dot<float>(a.col(0), a.col(1)), 0.0f, 1e-4f);
@@ -23,7 +39,7 @@ TEST(OrthKernel, IdentityOnOrthogonalPair) {
   linalg::MatrixF a(4, 2);
   a(0, 0) = 1.0f;
   a(1, 1) = 1.0f;
-  auto r = orth_kernel(a.col(0), a.col(1));
+  auto r = orth_one(a);
   EXPECT_FALSE(r.rotated);
   EXPECT_EQ(r.coherence, 0.0);
 }
@@ -31,9 +47,51 @@ TEST(OrthKernel, IdentityOnOrthogonalPair) {
 TEST(OrthKernel, ZeroColumnIsFixedPoint) {
   linalg::MatrixF a(4, 2);
   a(0, 0) = 3.0f;
-  auto r = orth_kernel(a.col(0), a.col(1));
+  auto r = orth_one(a);
   EXPECT_FALSE(r.rotated);
   EXPECT_FLOAT_EQ(a(0, 0), 3.0f);
+}
+
+TEST(OrthKernel, LayerMatchesPairsRunOneByOne) {
+  // A layer's pairs touch disjoint columns, so running them as one layer
+  // must give the same bits -- columns, cached norms, coherence -- as one
+  // one-pair layer after another, for every pair count up to P_eng = 11.
+  Rng rng(77);
+  for (std::size_t k = 1; k <= 11; ++k) {
+    const auto start = linalg::random_gaussian(37, 2 * k, rng).cast<float>();
+    auto layer = start;
+    auto serial = start;
+    std::vector<float> layer_norms(2 * k), serial_norms(2 * k);
+    for (std::size_t c = 0; c < 2 * k; ++c) {
+      layer_norms[c] = serial_norms[c] =
+          linalg::dot<float>(start.col(c), start.col(c));
+    }
+    // Pair p rotates columns (2k-1-p, p): not adjacent in memory.
+    std::vector<OrthPair> pairs;
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::size_t l = 2 * k - 1 - p;
+      pairs.push_back({layer.col(l).data(), layer.col(p).data(),
+                       &layer_norms[l], &layer_norms[p]});
+    }
+    std::vector<OrthKernelResult> results(k);
+    orth_layer(pairs, start.rows(), results);
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::size_t l = 2 * k - 1 - p;
+      const OrthPair one{serial.col(l).data(), serial.col(p).data(),
+                         &serial_norms[l], &serial_norms[p]};
+      OrthKernelResult r;
+      orth_layer(std::span<const OrthPair>(&one, 1), start.rows(),
+                 std::span<OrthKernelResult>(&r, 1));
+      EXPECT_EQ(r.coherence, results[p].coherence) << "k=" << k << " p=" << p;
+      EXPECT_EQ(r.rotated, results[p].rotated);
+    }
+    EXPECT_EQ(0, std::memcmp(layer.data().data(), serial.data().data(),
+                             layer.data().size_bytes()))
+        << "k=" << k;
+    EXPECT_EQ(0, std::memcmp(layer_norms.data(), serial_norms.data(),
+                             layer_norms.size() * sizeof(float)))
+        << "k=" << k;
+  }
 }
 
 TEST(NormKernel, NormalizesColumn) {

@@ -394,11 +394,12 @@ TEST(Trace, AttachesToArraySim) {
   ObsContext obs;
   obs.enable_tracing();
   sim.attach_observer(&obs);
-  sim.run_kernel({1, 1}, 0.0, 1e-6);
-  sim.dma_move({0, 0}, {2, 2}, versal::BufferKey(0, 0), 0.0, 1024);
+  sim.run_kernel(geo.index_of({1, 1}), 0.0, 1e-6);
+  versal::ColumnToken token(versal::BufferKey(0, 0));
+  sim.dma_move(geo.index_of({0, 0}), geo.index_of({2, 2}), token, 0.0, 1024);
   versal::Packet p;
   p.payload = versal::Buffer{8 * sizeof(float), 0};
-  sim.stream_packet({1, 0}, p, 0.0, false);
+  sim.stream_packet(geo.index_of({1, 0}), p, 0.0, nullptr);
   const Tracer& tracer = *obs.tracer();
   EXPECT_EQ(tracer.spans().size(), 3u);
   EXPECT_GT(busy_seconds(tracer, "kernel"), 0.0);
@@ -409,7 +410,7 @@ TEST(Trace, AttachesToArraySim) {
   }
   // Detach stops recording.
   sim.attach_observer(nullptr);
-  sim.run_kernel({1, 1}, 0.0, 1e-6);
+  sim.run_kernel(geo.index_of({1, 1}), 0.0, 1e-6);
   EXPECT_EQ(tracer.spans().size(), 3u);
 }
 

@@ -1,5 +1,5 @@
 // Determinism and kernel-accuracy tests for the host parallel engine:
-// the thread pool, the fused linalg kernels (dot3 / fused rotation /
+// the thread pool, the fused linalg kernels (dot / fused rotation /
 // incremental norms), the one-dot-per-pair Hestenes invariant, and the
 // DSE placement memoization.
 #include <gtest/gtest.h>
@@ -95,21 +95,6 @@ TEST(ThreadPool, ResolveThreadsPrefersRequestThenEnvThenHardware) {
 }
 
 // ---- fused kernels vs scalar references ----------------------------------
-
-TEST(FusedKernels, Dot3MatchesThreeLaneDots) {
-  for (std::size_t n : {1u, 7u, 8u, 9u, 64u, 127u, 1000u}) {
-    const auto xm = random_matrix(n, 1, 42 + n);
-    const auto ym = random_matrix(n, 1, 99 + n);
-    const std::span<const float> cx = xm.col(0);
-    const std::span<const float> cy = ym.col(0);
-    const auto g = linalg::dot3(cx, cy);
-    // dot3 and dot share one summation tree (8 lanes + pairwise
-    // reduction), so the fused traversal must agree bit for bit.
-    EXPECT_EQ(g.aii, linalg::dot(cx, cx)) << "n=" << n;
-    EXPECT_EQ(g.ajj, linalg::dot(cy, cy)) << "n=" << n;
-    EXPECT_EQ(g.aij, linalg::dot(cx, cy)) << "n=" << n;
-  }
-}
 
 TEST(FusedKernels, DotMatchesScalarReferenceWithinTolerance) {
   for (std::size_t n : {3u, 8u, 63u, 500u}) {

@@ -53,31 +53,33 @@ class SenderTest : public ::testing::Test {
 
 TEST_F(SenderTest, RoutesPayloadThroughForwardingTable) {
   const versal::Buffer payload{64, /*stamp=*/3};
+  versal::ColumnToken token(versal::BufferKey(0, 7));
   const double done = sender_->send_column(0, 1, /*column=*/7, /*task=*/0, 0.0,
-                                           payload, true);
+                                           payload, &token);
   EXPECT_GT(done, 0.0);
-  EXPECT_EQ(array_.memory({1, 1}).load(versal::BufferKey(0, 7)), payload);
-  EXPECT_FALSE(array_.memory({1, 0}).contains(versal::BufferKey(0, 7)));
+  EXPECT_EQ(token.live_tile, geo_.index_of({1, 1}));
+  EXPECT_EQ(array_.take(geo_.index_of({1, 1}), token), payload);
+  EXPECT_EQ(array_.memory(geo_.index_of({1, 0})).used_bytes(), 0u);
   EXPECT_EQ(array_.stats().stream_bytes, 16u + 64u);
 }
 
 TEST_F(SenderTest, SerializesPerChannel) {
   const versal::Buffer column{1000, 0};
-  const double a = sender_->send_column(0, 0, 1, 0, 0.0, column, false);
-  const double b = sender_->send_column(0, 0, 2, 0, 0.0, column, false);
-  const double c = sender_->send_column(1, 1, 3, 0, 0.0, column, false);
+  const double a = sender_->send_column(0, 0, 1, 0, 0.0, column, nullptr);
+  const double b = sender_->send_column(0, 0, 2, 0, 0.0, column, nullptr);
+  const double c = sender_->send_column(1, 1, 3, 0, 0.0, column, nullptr);
   EXPECT_GT(b, a);        // same channel: queued
   EXPECT_LT(c, b);        // other channel: parallel
   // Timing-only sends cost wire bytes but store nothing.
   EXPECT_EQ(array_.stats().stream_bytes, 3u * (16u + 1000u));
-  EXPECT_FALSE(array_.memory({1, 1}).contains(versal::BufferKey(0, 3)));
+  EXPECT_EQ(array_.memory(geo_.index_of({1, 1})).used_bytes(), 0u);
 }
 
 TEST_F(SenderTest, UnknownDestinationThrows) {
   const versal::Buffer column{64, 0};
-  EXPECT_THROW(sender_->send_column(0, 9, 0, 0, 0.0, column, false),
+  EXPECT_THROW(sender_->send_column(0, 9, 0, 0, 0.0, column, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(sender_->send_column(2, 0, 0, 0, 0.0, column, false),
+  EXPECT_THROW(sender_->send_column(2, 0, 0, 0, 0.0, column, nullptr),
                std::invalid_argument);
 }
 

@@ -599,7 +599,7 @@ TEST(QosServer, LatencyRequestPreemptsRunningBatchWork) {
   options.qos.tenants = {tenant("default")};
   SvdServer server(options);
 
-  const linalg::MatrixF big = gaussian(96, 64, 7);
+  const linalg::MatrixF big = gaussian(192, 128, 7);
   Request victim;
   victim.matrix = big;
   victim.priority = Priority::kBatch;

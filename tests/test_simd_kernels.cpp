@@ -1,5 +1,5 @@
 // Scalar-vs-vector parity for the runtime-dispatched fp32 hot-path
-// kernels (common/simd.hpp): dot, fused dot3, apply_rotation.
+// kernels (common/simd.hpp): dot, dot_pairs, apply_rotation.
 //
 // The dispatch contract is *bit* identity, not tolerance: every target
 // implements the same 8-lane accumulator model -- same per-lane
@@ -99,20 +99,6 @@ TEST(SimdKernels, ScalarDotMatchesLaneModelBitwise) {
   }
 }
 
-TEST(SimdKernels, ScalarDot3MatchesPairOfDotsOnSelf) {
-  // dot3's three accumulator sets follow the same model as dot, so each
-  // Gram entry must equal the standalone dot of the same operands.
-  const simd::Kernels& k = simd::scalar_kernels();
-  for (std::size_t n : lengths()) {
-    const auto x = make_input(n, 3);
-    const auto y = make_input(n, 4);
-    const simd::Dot3f g = k.dot3(x.data(), y.data(), n);
-    EXPECT_EQ(bits(g.aii), bits(model_dot(x, x))) << "n=" << n;
-    EXPECT_EQ(bits(g.ajj), bits(model_dot(y, y))) << "n=" << n;
-    EXPECT_EQ(bits(g.aij), bits(model_dot(x, y))) << "n=" << n;
-  }
-}
-
 TEST(SimdKernels, ScalarRotationMatchesElementwiseReference) {
   const simd::Kernels& k = simd::scalar_kernels();
   const float c = 0.8f, s = -0.6f;
@@ -145,21 +131,6 @@ TEST(SimdKernels, Avx2DotBitIdenticalToScalar) {
     EXPECT_EQ(bits(vx.dot(a.data(), b.data(), n)),
               bits(sc.dot(a.data(), b.data(), n)))
         << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, Avx2Dot3BitIdenticalToScalar) {
-  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable on this host/build";
-  const simd::Kernels& sc = simd::scalar_kernels();
-  const simd::Kernels& vx = simd::avx2_kernels();
-  for (std::size_t n : lengths()) {
-    const auto x = make_input(n, 9);
-    const auto y = make_input(n, 10);
-    const simd::Dot3f a = sc.dot3(x.data(), y.data(), n);
-    const simd::Dot3f b = vx.dot3(x.data(), y.data(), n);
-    EXPECT_EQ(bits(a.aii), bits(b.aii)) << "n=" << n;
-    EXPECT_EQ(bits(a.ajj), bits(b.ajj)) << "n=" << n;
-    EXPECT_EQ(bits(a.aij), bits(b.aij)) << "n=" << n;
   }
 }
 
@@ -222,12 +193,132 @@ TEST(SimdKernels, InfAndNanPropagateIdentically) {
         const float vx = simd::avx2_kernels().dot(a.data(), b.data(), n);
         EXPECT_EQ(bits(vx), bits(sc)) << "poison=" << poison << " at=" << at;
       }
-      // The engine's guard: a poisoned column makes the Gram entries
-      // non-finite, which the accelerator's detection points catch.
-      const simd::Dot3f g =
-          simd::scalar_kernels().dot3(a.data(), b.data(), n);
-      EXPECT_FALSE(std::isfinite(g.aii));
-      EXPECT_FALSE(std::isfinite(g.aij));
+      // The engine's guard: a poisoned column makes its Gram entries
+      // non-finite on every path, which the accelerator's detection
+      // points catch.
+      const float* left[] = {a.data(), a.data()};
+      const float* right[] = {a.data(), b.data()};
+      float gram[2];
+      simd::active().dot_pairs(left, right, 2, n, gram);
+      EXPECT_FALSE(std::isfinite(gram[0]));
+      EXPECT_FALSE(std::isfinite(gram[1]));
+    }
+  }
+}
+
+// ---- dot_pairs: one layer's dots at once ---------------------------------
+
+// Pair counts 1..9 cover one interleaved group of four, a remainder of
+// one to three, and two full groups plus a remainder; lengths cover every
+// tail residue up to 33 and the accelerator's n = 64 and 256.
+const std::vector<std::size_t>& pair_lengths() {
+  static const std::vector<std::size_t> all = [] {
+    std::vector<std::size_t> n;
+    for (std::size_t i = 0; i <= 33; ++i) n.push_back(i);
+    n.push_back(64);
+    n.push_back(256);
+    return n;
+  }();
+  return all;
+}
+
+// `count` pairs over distinct columns, with pair p's left column poisoned
+// per `poison` (0: none, 1: +Inf, 2: NaN, 3: -Inf at position p % n).
+struct PairInputs {
+  std::vector<std::vector<float>> cols;
+  std::vector<const float*> left;
+  std::vector<const float*> right;
+};
+
+PairInputs make_pairs(std::size_t count, std::size_t n, int poison) {
+  PairInputs in;
+  for (std::size_t c = 0; c < 2 * count; ++c) {
+    in.cols.push_back(make_input(n, 100 + 2 * count + c));
+  }
+  if (poison != 0 && n > 0) {
+    const float values[] = {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::infinity()};
+    for (std::size_t p = 0; p < count; ++p) {
+      in.cols[2 * p][p % n] = values[poison - 1];
+    }
+  }
+  for (std::size_t p = 0; p < count; ++p) {
+    in.left.push_back(in.cols[2 * p].data());
+    in.right.push_back(in.cols[2 * p + 1].data());
+  }
+  return in;
+}
+
+TEST(SimdKernels, ScalarDotPairsMatchesPerPairDotBitwise) {
+  const simd::Kernels& k = simd::scalar_kernels();
+  for (int poison = 0; poison <= 3; ++poison) {
+    for (std::size_t count = 1; count <= 9; ++count) {
+      for (std::size_t n : pair_lengths()) {
+        const PairInputs in = make_pairs(count, n, poison);
+        std::vector<float> out(count);
+        k.dot_pairs(in.left.data(), in.right.data(), count, n, out.data());
+        for (std::size_t p = 0; p < count; ++p) {
+          ASSERT_EQ(bits(out[p]), bits(k.dot(in.left[p], in.right[p], n)))
+              << "poison=" << poison << " count=" << count << " n=" << n
+              << " p=" << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, Avx2DotPairsBitIdenticalToScalar) {
+  if (!have_avx2()) GTEST_SKIP() << "AVX2 unavailable on this host/build";
+  const simd::Kernels& sc = simd::scalar_kernels();
+  const simd::Kernels& vx = simd::avx2_kernels();
+  for (int poison = 0; poison <= 3; ++poison) {
+    for (std::size_t count = 1; count <= 9; ++count) {
+      for (std::size_t n : pair_lengths()) {
+        const PairInputs in = make_pairs(count, n, poison);
+        std::vector<float> a(count), b(count);
+        sc.dot_pairs(in.left.data(), in.right.data(), count, n, a.data());
+        vx.dot_pairs(in.left.data(), in.right.data(), count, n, b.data());
+        for (std::size_t p = 0; p < count; ++p) {
+          ASSERT_EQ(bits(b[p]), bits(a[p]))
+              << "poison=" << poison << " count=" << count << " n=" << n
+              << " p=" << p;
+          // ... and equal to the AVX2 single dot of the same pair.
+          ASSERT_EQ(bits(b[p]), bits(vx.dot(in.left[p], in.right[p], n)));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, DotPairsKeepsDenormalProducts) {
+  // Four denormal-product pairs in one interleaved group: no DAZ/FTZ on
+  // any path, every pair bit-identical to its own dot.
+  const std::size_t n = 37;
+  std::vector<std::vector<float>> cols(8, std::vector<float>(n));
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const float scale =
+          c % 2 == 0 ? 1e-30f : ((i + c) % 2 == 0 ? 1e-12f : -1e-12f);
+      cols[c][i] = scale * static_cast<float>(i + c + 1);
+    }
+  }
+  const float* left[] = {cols[0].data(), cols[2].data(), cols[4].data(),
+                         cols[6].data()};
+  const float* right[] = {cols[1].data(), cols[3].data(), cols[5].data(),
+                          cols[7].data()};
+  std::vector<const simd::Kernels*> targets{&simd::scalar_kernels()};
+  if (have_avx2()) targets.push_back(&simd::avx2_kernels());
+  for (const simd::Kernels* k : targets) {
+    float out[4];
+    k->dot_pairs(left, right, 4, n, out);
+    for (std::size_t p = 0; p < 4; ++p) {
+      EXPECT_NE(out[p], 0.0f) << k->name;
+      EXPECT_LT(std::fabs(out[p]), std::numeric_limits<float>::min())
+          << k->name;
+      EXPECT_EQ(bits(out[p]),
+                bits(simd::scalar_kernels().dot(left[p], right[p], n)))
+          << k->name << " p=" << p;
     }
   }
 }

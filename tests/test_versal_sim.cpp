@@ -1,6 +1,10 @@
-// Tests for the Versal simulator substrate: tile memory accounting,
-// timelines/channels, packets, and the array-level transfer mechanisms.
+// Tests for the Versal simulator substrate: tile memory ledgers and
+// column tokens, timelines/channels, packets, and the array-level
+// transfer mechanisms.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "versal/array.hpp"
 #include "versal/memory.hpp"
@@ -19,91 +23,128 @@ Buffer column(std::uint64_t floats, std::uint64_t stamp = 0) {
   return Buffer{floats * sizeof(float), stamp};
 }
 
+// Lands `payload` on tile `tile` as `token`'s live copy, the way a Tx
+// packet does.
+void land(AieArraySim& sim, int tile, ColumnToken& token, Buffer payload) {
+  Packet p;
+  p.header = {0, token.key.column(), token.key.task()};
+  p.payload = payload;
+  sim.stream_packet(tile, p, 0.0, &token);
+}
+
 TEST(TileMemory, StoresAndLoads) {
   TileMemory mem(1024);
-  mem.store(kA, column(2, 7));
-  EXPECT_TRUE(mem.contains(kA));
-  EXPECT_EQ(mem.load(kA), column(2, 7));
+  mem.charge(kA, 8);
   EXPECT_EQ(mem.used_bytes(), 8u);
+  EXPECT_EQ(mem.peak_bytes(), 8u);
+  EXPECT_EQ(mem.capacity_bytes(), 1024u);
 }
 
 TEST(TileMemory, OverflowThrows) {
   TileMemory mem(16);  // room for 4 floats
-  mem.store(kA, column(4, 1));
-  EXPECT_THROW(mem.store(kB, column(1)), std::runtime_error);
-  // Replacing an existing buffer of equal size is fine.
-  mem.store(kA, column(4, 9));
-  EXPECT_EQ(mem.load(kA).stamp, 9u);
+  mem.charge(kA, 16);
+  try {
+    mem.charge(kB.shadow(), 4);
+    FAIL() << "overflow not detected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(
+        e.what(),
+        "tile memory overflow: need 20 bytes of 16 storing 'c2.t0#dma'");
+  }
+  // A failed charge leaves the ledger unchanged.
+  EXPECT_EQ(mem.used_bytes(), 16u);
+  EXPECT_EQ(mem.peak_bytes(), 16u);
 }
 
 TEST(TileMemory, ReplacingABufferReaccountsItsBytes) {
-  TileMemory mem(32);  // room for 8 floats
-  mem.store(kA, column(4));
-  mem.store(kA, column(2));  // shrink in place
-  EXPECT_EQ(mem.used_bytes(), 8u);
-  mem.store(kB, column(6));  // fits only because kA shrank
-  EXPECT_EQ(mem.used_bytes(), 32u);
-  // Growing kA past the budget throws and leaves the accounting alone.
-  EXPECT_THROW(mem.store(kA, column(3)), std::runtime_error);
-  EXPECT_EQ(mem.used_bytes(), 32u);
-  EXPECT_EQ(mem.load(kA).bytes, 8u);
-  mem.store(kB, column(1));  // shrinking kB frees room for kA to grow
-  mem.store(kA, column(7));
-  EXPECT_EQ(mem.used_bytes(), 32u);
-  EXPECT_EQ(mem.peak_bytes(), 32u);
+  // A column moving between two tiles: the source releases exactly what
+  // the destination charges, and each tile keeps its own peak.
+  AieArraySim sim(ArrayGeometry(4, 4), vck190());
+  const int src = sim.geometry().index_of({1, 1});
+  const int dst = sim.geometry().index_of({1, 2});
+  ColumnToken a(kA);
+  ColumnToken b(kB);
+  land(sim, src, a, column(4, 1));
+  land(sim, src, b, column(2, 2));
+  EXPECT_EQ(sim.memory(src).used_bytes(), 24u);
+  sim.neighbour_move(src, dst, a, 16);
+  EXPECT_EQ(sim.memory(src).used_bytes(), 8u);
+  EXPECT_EQ(sim.memory(dst).used_bytes(), 16u);
+  EXPECT_EQ(a.live_tile, dst);
+  EXPECT_EQ(a.live_stamp, 1u);
+  sim.neighbour_move(src, dst, b, 8);
+  EXPECT_EQ(sim.memory(src).used_bytes(), 0u);
+  EXPECT_EQ(sim.memory(dst).used_bytes(), 24u);
+  EXPECT_EQ(sim.memory(src).peak_bytes(), 24u);
+  EXPECT_EQ(sim.memory(dst).peak_bytes(), 24u);
 }
 
 TEST(TileMemory, EraseReleasesCapacity) {
   TileMemory mem(16);
-  mem.store(kA, column(4));
-  mem.erase(kA);
+  mem.charge(kA, 16);
+  mem.release(16);
   EXPECT_EQ(mem.used_bytes(), 0u);
   EXPECT_EQ(mem.peak_bytes(), 16u);  // peak is sticky
-  mem.store(kB, column(4));          // fits again
-  EXPECT_TRUE(mem.contains(kB));
+  mem.charge(kB, 16);                // fits again
+  EXPECT_EQ(mem.used_bytes(), 16u);
 }
 
 TEST(TileMemory, MissingBufferThrows) {
-  TileMemory mem(64);
-  const BufferKey ghost{9, 9};
-  EXPECT_THROW(mem.load(ghost), std::invalid_argument);
-  EXPECT_THROW(mem.take(ghost), std::invalid_argument);
-  mem.erase(ghost);  // erase of absent key is a no-op
-  EXPECT_EQ(mem.used_bytes(), 0u);
+  AieArraySim sim(ArrayGeometry(4, 4), vck190());
+  ColumnToken ghost(BufferKey(9, 9));
+  try {
+    sim.take(sim.geometry().index_of({2, 2}), ghost);
+    FAIL() << "take of an absent column succeeded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("missing buffer 'c9.t9'"),
+              std::string::npos);
+  }
+  // A column live elsewhere is just as missing here.
+  land(sim, sim.geometry().index_of({1, 1}), ghost, column(2));
+  EXPECT_THROW(sim.take(sim.geometry().index_of({2, 2}), ghost),
+               std::invalid_argument);
+  EXPECT_EQ(sim.memory(sim.geometry().index_of({2, 2})).used_bytes(), 0u);
 }
 
 TEST(TileMemory, TakeMovesTheBufferOut) {
-  TileMemory mem(64);
-  mem.store(kA, column(3, 5));
-  mem.store(kB, column(1, 6));
-  EXPECT_EQ(mem.take(kA), column(3, 5));
-  EXPECT_FALSE(mem.contains(kA));
-  EXPECT_EQ(mem.used_bytes(), 4u);
-  EXPECT_THROW(mem.take(kA), std::invalid_argument);  // taken once only
-  EXPECT_EQ(mem.load(kB).stamp, 6u);
+  AieArraySim sim(ArrayGeometry(4, 4), vck190());
+  const int tile = sim.geometry().index_of({1, 1});
+  ColumnToken a(kA);
+  ColumnToken b(kB);
+  land(sim, tile, a, column(3, 5));
+  land(sim, tile, b, column(1, 6));
+  EXPECT_EQ(sim.take(tile, a), column(3, 5));
+  EXPECT_EQ(a.live_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(sim.memory(tile).used_bytes(), 4u);
+  EXPECT_THROW(sim.take(tile, a), std::invalid_argument);  // taken once only
+  EXPECT_EQ(b.live_stamp, 6u);
 }
 
 TEST(TileMemory, PurgingTaskOneKeepsTaskTwelve) {
-  // Task 1 must not claim task 12's buffers (the ".t1" vs ".t12" edge of
-  // a string key), nor buffers whose column, not task, is 1.
-  TileMemory mem(1024);
-  mem.store(BufferKey(1, 3), column(1));
-  mem.store(BufferKey(1, 3).shadow(), column(1));
-  mem.store(BufferKey(12, 1), column(2));
-  mem.store(BufferKey(12, 1).shadow(), column(2));
-  mem.store(BufferKey(2, 11), column(3));
-  mem.store(BufferKey(1, 12), column(1));
-  const std::size_t removed =
-      mem.erase_if([](BufferKey key) { return key.task() == 1; });
-  EXPECT_EQ(removed, 3u);
-  EXPECT_FALSE(mem.contains(BufferKey(1, 3)));
-  EXPECT_FALSE(mem.contains(BufferKey(1, 3).shadow()));
-  EXPECT_FALSE(mem.contains(BufferKey(1, 12)));
-  EXPECT_TRUE(mem.contains(BufferKey(12, 1)));
-  EXPECT_TRUE(mem.contains(BufferKey(12, 1).shadow()));
-  EXPECT_TRUE(mem.contains(BufferKey(2, 11)));
-  EXPECT_EQ(mem.used_bytes(), 7u * sizeof(float));
-  EXPECT_EQ(mem.load(BufferKey(2, 11)).bytes, 3u * sizeof(float));
+  // Task 1 must not claim task 12's columns, nor columns whose column,
+  // not task, is 1; a purge releases live and shadow copies alike.
+  AieArraySim sim(ArrayGeometry(4, 4), vck190());
+  const int t0 = sim.geometry().index_of({1, 1});
+  const int t1 = sim.geometry().index_of({3, 3});
+  std::vector<ColumnToken> table{ColumnToken(BufferKey(1, 3)),
+                                 ColumnToken(BufferKey(12, 1)),
+                                 ColumnToken(BufferKey(2, 11)),
+                                 ColumnToken(BufferKey(1, 12))};
+  land(sim, t0, table[0], column(1));
+  sim.dma_move(t0, t1, table[0], 0.0, 4);
+  land(sim, t0, table[1], column(2));
+  sim.dma_move(t0, t1, table[1], 0.0, 8);
+  land(sim, t0, table[2], column(3));
+  land(sim, t0, table[3], column(1));
+  EXPECT_EQ(sim.purge(table, 1), 3u);
+  EXPECT_EQ(table[0].live_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(table[0].shadow_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(table[3].live_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(table[1].live_tile, t0);
+  EXPECT_EQ(table[1].shadow_tile, t1);
+  EXPECT_EQ(table[2].live_tile, t0);
+  EXPECT_EQ(sim.memory(t0).used_bytes(), 5u * sizeof(float));
+  EXPECT_EQ(sim.memory(t1).used_bytes(), 2u * sizeof(float));
 }
 
 TEST(BufferKey, LiveAndShadowKeysAreDistinct) {
@@ -118,15 +159,26 @@ TEST(BufferKey, LiveAndShadowKeysAreDistinct) {
   EXPECT_NE(BufferKey(3, 7), BufferKey(7, 3));
   EXPECT_EQ(to_string(live), "c7.t3");
   EXPECT_EQ(to_string(shadow), "c7.t3#dma");
-  // Both copies of one column coexist in a tile (the DMA 2x cost).
-  TileMemory mem(64);
-  mem.store(live, column(2, 1));
-  mem.store(shadow, column(2, 3));
-  EXPECT_EQ(mem.used_bytes(), 16u);
-  EXPECT_EQ(mem.load(live).stamp, 1u);
-  EXPECT_EQ(mem.load(shadow).stamp, 3u);
-  mem.erase(shadow);
-  EXPECT_TRUE(mem.contains(live));
+  // Both copies of one column coexist in a tile (the DMA 2x cost) until
+  // the consumer resolves the shadow.
+  AieArraySim sim(ArrayGeometry(4, 4), vck190());
+  const int src = sim.geometry().index_of({1, 1});
+  const int dst = sim.geometry().index_of({1, 2});
+  ColumnToken token(live);
+  land(sim, src, token, column(2, 1));
+  ColumnToken resident(BufferKey(3, 8));
+  land(sim, dst, resident, column(2, 9));
+  sim.dma_move(src, dst, token, 0.0, 8);
+  EXPECT_EQ(sim.memory(dst).used_bytes(), 16u);
+  EXPECT_EQ(token.live_tile, src);
+  EXPECT_EQ(token.shadow_tile, dst);
+  EXPECT_TRUE(sim.resolve_dma(src, dst, token));
+  EXPECT_EQ(token.live_tile, dst);
+  EXPECT_EQ(token.live_stamp, 1u);
+  EXPECT_EQ(token.shadow_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(sim.memory(src).used_bytes(), 0u);
+  EXPECT_EQ(sim.memory(dst).used_bytes(), 16u);
+  EXPECT_FALSE(sim.resolve_dma(src, dst, token));  // nothing left to resolve
 }
 
 TEST(Timeline, SerializesOperations) {
@@ -158,10 +210,9 @@ TEST(Packet, BytesIncludeHeaderBeat) {
 TEST(ForwardingTable, BindsAndRejectsDuplicates) {
   ForwardingTable table;
   table.bind(3, {1, 2});
-  EXPECT_TRUE(table.has(3));
-  EXPECT_EQ(table.route(3), (TileCoord{1, 2}));
+  EXPECT_EQ(table.routes().at(3), (TileCoord{1, 2}));
   EXPECT_THROW(table.bind(3, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(table.route(9), std::invalid_argument);
+  EXPECT_EQ(table.routes().count(9), 0u);
 }
 
 class ArraySimTest : public ::testing::Test {
@@ -172,28 +223,49 @@ class ArraySimTest : public ::testing::Test {
 };
 
 TEST_F(ArraySimTest, NeighbourMoveTransfersOwnership) {
-  sim_.memory({0, 3}).store(kA, column(3, 42));
-  sim_.neighbour_move({0, 3}, {1, 3}, kA);
-  EXPECT_FALSE(sim_.memory({0, 3}).contains(kA));
-  EXPECT_EQ(sim_.memory({1, 3}).load(kA), column(3, 42));
+  const int src = geo_.index_of({0, 3});
+  const int dst = geo_.index_of({1, 3});
+  ColumnToken token(kA);
+  land(sim_, src, token, column(3, 42));
+  sim_.neighbour_move(src, dst, token, 12);
+  EXPECT_EQ(token.live_tile, dst);
+  EXPECT_EQ(token.live_stamp, 42u);
+  EXPECT_EQ(sim_.memory(src).used_bytes(), 0u);
+  EXPECT_EQ(sim_.memory(dst).used_bytes(), 12u);
   EXPECT_EQ(sim_.stats().neighbour_transfers, 1u);
   EXPECT_EQ(sim_.utilization(1.0).total_neighbour_bytes(), 12u);
 }
 
 TEST_F(ArraySimTest, NeighbourMoveRejectsNonNeighbours) {
-  EXPECT_THROW(sim_.neighbour_move({0, 0}, {4, 4}, kA), std::invalid_argument);
+  // Adjacency is checked once, when a dataflow is compiled, with the
+  // geometry's precondition.
+  try {
+    geo_.require_neighbour_access({0, 0}, {4, 4});
+    FAIL() << "non-neighbours accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "tiles (0,0) -> (4,4) are not neighbour-accessible"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW(geo_.require_neighbour_access({0, 3}, {1, 3}));
+  EXPECT_THROW(geo_.require_neighbour_access({0, 0}, {0, 9}),
+               std::invalid_argument);  // off the array
 }
 
 TEST_F(ArraySimTest, DmaMoveDuplicatesBuffer) {
-  sim_.memory({0, 0}).store(kA, column(4, 11));
-  const double done = sim_.dma_move({0, 0}, {5, 5}, kA, 0.0);
+  const int src = geo_.index_of({0, 0});
+  const int dst = geo_.index_of({5, 5});
+  ColumnToken token(kA);
+  land(sim_, src, token, column(4, 11));
+  const double done = sim_.dma_move(src, dst, token, 0.0, 16);
   EXPECT_GT(done, 0.0);
   // Shadow copy coexists with the original: the 2x memory cost, counted
   // by bytes, and the shadow carries the original's stamp.
-  EXPECT_TRUE(sim_.memory({0, 0}).contains(kA));
-  EXPECT_EQ(sim_.memory({5, 5}).load(kA.shadow()), column(4, 11));
-  EXPECT_EQ(sim_.memory({0, 0}).used_bytes(), 16u);
-  EXPECT_EQ(sim_.memory({5, 5}).used_bytes(), 16u);
+  EXPECT_EQ(token.live_tile, src);
+  EXPECT_EQ(token.shadow_tile, dst);
+  EXPECT_EQ(token.shadow_stamp, 11u);
+  EXPECT_EQ(sim_.memory(src).used_bytes(), 16u);
+  EXPECT_EQ(sim_.memory(dst).used_bytes(), 16u);
   EXPECT_EQ(sim_.stats().dma_transfers, 1u);
   EXPECT_EQ(sim_.stats().dma_bytes, 16u);
 }
@@ -201,50 +273,65 @@ TEST_F(ArraySimTest, DmaMoveDuplicatesBuffer) {
 TEST_F(ArraySimTest, DmaChargesSetupPlusTransfer) {
   // 1 KB over the DMA engine at 4 B/cycle @ 1.25 GHz plus the 300-cycle
   // buffer-descriptor/lock setup.
-  sim_.memory({0, 0}).store(kA, column(256));
-  const double done = sim_.dma_move({0, 0}, {3, 3}, kA, 0.0);
+  ColumnToken token(kA);
+  land(sim_, geo_.index_of({0, 0}), token, column(256));
+  const double done = sim_.dma_move(geo_.index_of({0, 0}),
+                                    geo_.index_of({3, 3}), token, 0.0, 1024);
   EXPECT_NEAR(done, sim_.dma_setup_seconds() + 1024.0 / (4.0 * 1.25e9), 1e-12);
   EXPECT_GT(sim_.dma_setup_seconds(), 0.0);
 }
 
 TEST_F(ArraySimTest, TimingOnlyDmaUsesByteHint) {
-  const double done = sim_.dma_move({0, 0}, {3, 3}, kA, 0.0, 2048);
+  // A token that never landed is moved by accounting and timing alone.
+  ColumnToken token(kA);
+  const double done = sim_.dma_move(geo_.index_of({0, 0}),
+                                    geo_.index_of({3, 3}), token, 0.0, 2048);
   EXPECT_NEAR(done, sim_.dma_setup_seconds() + 2048.0 / (4.0 * 1.25e9), 1e-12);
   EXPECT_EQ(sim_.stats().dma_bytes, 2048u);
+  EXPECT_EQ(token.shadow_tile, ColumnToken::kNoTile);
+  EXPECT_EQ(sim_.memory(geo_.index_of({3, 3})).used_bytes(), 0u);
 }
 
 TEST_F(ArraySimTest, StreamPacketStoresPayloadAndSerializes) {
+  const int tile = geo_.index_of({2, 2});
   Packet p;
   p.header = {0, 7, 0};
   p.payload = column(64, 5);
-  const double t1 = sim_.stream_packet({2, 2}, p, 0.0, true);
-  const double t2 = sim_.stream_packet({2, 2}, p, 0.0, false);
+  ColumnToken token(BufferKey(0, 7));
+  const double t1 = sim_.stream_packet(tile, p, 0.0, &token);
+  const double t2 = sim_.stream_packet(tile, p, 0.0, nullptr);
   EXPECT_GT(t2, t1);  // same port: serialized
   EXPECT_NEAR(t2 - t1, (16.0 + 256.0) / (4.0 * 1.25e9), 1e-15);
-  EXPECT_EQ(sim_.memory({2, 2}).load(BufferKey(0, 7)), column(64, 5));
+  EXPECT_EQ(token.live_tile, tile);
+  EXPECT_EQ(token.live_stamp, 5u);
+  EXPECT_EQ(token.bytes, 256u);
+  // The timing-only packet lands nothing.
+  EXPECT_EQ(sim_.memory(tile).used_bytes(), 256u);
   EXPECT_EQ(sim_.stats().stream_packets, 2u);
   EXPECT_EQ(sim_.stats().stream_bytes, 2u * (16u + 256u));
 }
 
 TEST_F(ArraySimTest, KernelsAccumulateUtilization) {
-  sim_.run_kernel({1, 1}, 0.0, 1e-6);
-  sim_.run_kernel({1, 1}, 0.0, 1e-6);
+  sim_.run_kernel(geo_.index_of({1, 1}), 0.0, 1e-6);
+  sim_.run_kernel(geo_.index_of({1, 1}), 0.0, 1e-6);
   EXPECT_EQ(sim_.stats().kernel_invocations, 2u);
   // One active core busy 2 us over a 4 us makespan: 50%.
   EXPECT_NEAR(sim_.core_utilization(4e-6), 0.5, 1e-9);
 }
 
 TEST_F(ArraySimTest, ResetTimeClearsTimelinesButKeepsStats) {
-  sim_.run_kernel({1, 1}, 0.0, 1e-6);
+  sim_.run_kernel(geo_.index_of({1, 1}), 0.0, 1e-6);
   sim_.reset_time();
   EXPECT_DOUBLE_EQ(sim_.core({1, 1}).next_free(), 0.0);
   EXPECT_EQ(sim_.stats().kernel_invocations, 1u);  // stats are cumulative
 }
 
 TEST_F(ArraySimTest, PeakMemoryAggregates) {
-  sim_.memory({0, 0}).store(kA, column(100));
-  sim_.memory({3, 3}).store(kB, column(50));
-  sim_.memory({0, 0}).erase(kA);
+  ColumnToken a(kA);
+  ColumnToken b(kB);
+  land(sim_, geo_.index_of({0, 0}), a, column(100));
+  land(sim_, geo_.index_of({3, 3}), b, column(50));
+  sim_.take(geo_.index_of({0, 0}), a);
   EXPECT_EQ(sim_.peak_memory_bytes(), 600u);
 }
 
